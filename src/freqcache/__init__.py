@@ -17,7 +17,12 @@ from .edge_refresh import (
     patch_energy,
     refresh_mask,
 )
-from .errors import ConstantFrameError, DegenerateSpectrumError, FrameParseError
+from .errors import (
+    ConstantFrameError,
+    DegenerateSpectrumError,
+    FrameParseError,
+    InvariantError,
+)
 from .frame import PatchGrid, validate_frame
 from .fusion import (
     DEFAULT_COST_MODEL,
@@ -28,7 +33,6 @@ from .fusion import (
     StepReport,
     TokenCache,
     decide,
-    decide_reference,
     default_token_fn,
     populate_cache,
     run_sequence,
@@ -62,6 +66,7 @@ __all__ = [
     "EntropyReading",
     "FrameParseError",
     "GateAction",
+    "InvariantError",
     "PatchGrid",
     "RefreshMask",
     "SCENE_KINDS",
@@ -75,7 +80,6 @@ __all__ = [
     "block_dct",
     "cutoff_index",
     "decide",
-    "decide_reference",
     "default_token_fn",
     "dft2",
     "generate_scene",

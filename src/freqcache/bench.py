@@ -7,7 +7,7 @@ import numpy as np
 from .fusion import decide
 
 
-def bench(cfg, height, width, iterations=100, warmup=5, seed=0, parallel=False):
+def bench(cfg, height, width, iterations=100, warmup=5, seed=0):
     """Time ``decide`` on a seeded broadband frame pair.
 
     At least 3 warmup iterations are always run and excluded. Returns the
@@ -22,7 +22,7 @@ def bench(cfg, height, width, iterations=100, warmup=5, seed=0, parallel=False):
     samples = []
     for k in range(warmup + iterations):
         t0 = time.perf_counter()
-        decide(prev, curr, cfg, parallel=parallel)
+        decide(prev, curr, cfg)
         elapsed = time.perf_counter() - t0
         if k >= warmup:
             samples.append(elapsed)

@@ -18,31 +18,11 @@ import scipy.fft
 
 from .frame import PatchGrid, validate_frame
 from .fusion import DEFAULT_COST_MODEL, decide
+from .migration import _position_cosines
 
 
 def _raw_pixels(patch):
     return patch.ravel()
-
-
-def _position_cosines(prev_vecs, curr_vecs):
-    """Row-wise cosine of two (n, d) stacks; zero-norm rows score 0."""
-    num = np.einsum("nd,nd->n", prev_vecs, curr_vecs)
-    norm_p = np.linalg.norm(prev_vecs, axis=1)
-    norm_c = np.linalg.norm(curr_vecs, axis=1)
-    denom = norm_p * norm_c
-    out = np.zeros(prev_vecs.shape[0])
-    ok = denom > 0.0
-    out[ok] = num[ok] / denom[ok]
-    return out
-
-
-def _token_stack(grid, frame, token_fn):
-    vecs = [
-        np.asarray(token_fn(grid.patch(*grid.position(idx), frame)),
-                   dtype=np.float64).ravel()
-        for idx in range(grid.n_patches)
-    ]
-    return np.stack(vecs)
 
 
 def _patch_amplitudes(grid, frame):
@@ -51,7 +31,7 @@ def _patch_amplitudes(grid, frame):
 
 
 def compare_domains(frames, cfg, *, token_fn=None, edge_labels=None,
-                    tau_visual=0.85, tau_naive_freq=0.85, cost_model=None):
+                    tau_visual=0.85, tau_naive_freq=0.85):
     """Run all three policies over consecutive frame pairs.
 
     ``edge_labels`` is an optional per-frame sequence of ground-truth edge
@@ -63,7 +43,6 @@ def compare_domains(frames, cfg, *, token_fn=None, edge_labels=None,
         raise ValueError("need at least 2 frames")
     frames = [validate_frame(f) for f in frames]
     token_fn = token_fn or _raw_pixels
-    cost_model = cost_model or DEFAULT_COST_MODEL
     grid = PatchGrid(frames[0], cfg.patch_size)
     n = grid.n_patches
     have_labels = edge_labels is not None
@@ -77,7 +56,7 @@ def compare_domains(frames, cfg, *, token_fn=None, edge_labels=None,
         prev, curr = frames[t - 1], frames[t]
         decision = decide(prev, curr, cfg, step=t)
         visual_cos = _position_cosines(
-            _token_stack(grid, prev, token_fn), _token_stack(grid, curr, token_fn)
+            grid.tokens(token_fn, frame=prev), grid.tokens(token_fn, frame=curr)
         )
         naive_cos = _position_cosines(
             _patch_amplitudes(grid, prev), _patch_amplitudes(grid, curr)
@@ -91,10 +70,10 @@ def compare_domains(frames, cfg, *, token_fn=None, edge_labels=None,
         for name, reuse in sets.items():
             reused_total[name] += len(reuse)
             false_reuse[name] += len(reuse & labels)
-            latency_total[name] += cost_model.latency_ms(n - len(reuse))
+            latency_total[name] += DEFAULT_COST_MODEL.latency_ms(n - len(reuse))
 
     n_steps = len(frames) - 1
-    baseline = cost_model.latency_ms(n)
+    baseline = DEFAULT_COST_MODEL.latency_ms(n)
     policies = {}
     for name in names:
         mean_latency = latency_total[name] / n_steps

@@ -9,6 +9,10 @@ class ConstantFrameError(ValueError):
     """A frame has no texture, so displacement estimation is undefined."""
 
 
+class InvariantError(RuntimeError):
+    """A decision or cache update broke one of the pipeline's own invariants."""
+
+
 class FrameParseError(ValueError):
     """A frame file could not be parsed.
 

@@ -44,12 +44,6 @@ class PatchGrid:
     def n_patches(self):
         return self.rows * self.cols
 
-    def index(self, i, j):
-        return i * self.cols + j
-
-    def position(self, index):
-        return divmod(int(index), self.cols)
-
     def _resolve(self, frame):
         if frame is None:
             return self.frame
@@ -71,3 +65,21 @@ class PatchGrid:
         f = self._resolve(frame)
         p = self.patch_size
         return f.reshape(self.rows, p, self.cols, p).swapaxes(1, 2)
+
+    def tokens(self, token_fn, indices=None, frame=None):
+        """Token vectors of the listed patches as a (k, dim) float64 array.
+
+        ``indices`` are row-major patch indices (default: every patch in
+        order); ``token_fn`` is called once per listed patch on its (P, P)
+        view. The frame is resolved once. An empty list gives shape (0, 0).
+        """
+        f = self._resolve(frame)
+        p = self.patch_size
+        if indices is None:
+            indices = range(self.n_patches)
+        vecs = []
+        for idx in indices:
+            i, j = divmod(int(idx), self.cols)
+            patch = f[i * p:(i + 1) * p, j * p:(j + 1) * p]
+            vecs.append(np.asarray(token_fn(patch), dtype=np.float64).ravel())
+        return np.stack(vecs) if vecs else np.empty((0, 0))

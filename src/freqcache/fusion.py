@@ -3,18 +3,16 @@ select the reuse set, and maintain the token cache across steps."""
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
 
 from .budget import BudgetConfig, EntropyReading, reuse_budget, spectral_entropy
-from .edge_refresh import cutoff_index, patch_energy, refresh_mask
-from .errors import ConstantFrameError, DegenerateSpectrumError
+from .edge_refresh import patch_energy, refresh_mask
+from .errors import ConstantFrameError, DegenerateSpectrumError, InvariantError
 from .frame import PatchGrid, validate_frame
 from .migration import (
-    CROSS_POWER_EPS,
     Displacement,
     GateAction,
     alignment_mask,
@@ -118,14 +116,14 @@ def topk_ascending(candidates, energies, k):
 _ANALYSIS_ERRORS = (DegenerateSpectrumError, ConstantFrameError)
 
 
-def decide(prev, curr, cfg, *, step=0, parallel=False):
+def decide(prev, curr, cfg, *, step=0):
     """Decide which patches of ``curr`` may reuse cached tokens.
 
-    The migration, edge, and budget analyses are independent and join at a
-    single synchronization point before token selection; ``parallel=True``
-    runs them on separate threads. Degenerate inputs (all-zero or constant
-    frames) force a flush with a diagnostic instead of raising, so a black
-    frame cannot abort a sequence.
+    The migration, budget, and edge analyses are independent and join at a
+    single synchronization point before token selection. Degenerate inputs
+    (all-zero or constant frames) force a flush with a diagnostic instead of
+    raising, so a black frame cannot abort a sequence; a failed analysis
+    contributes only its defaults.
     """
     prev = validate_frame(prev)
     curr = validate_frame(curr)
@@ -139,78 +137,49 @@ def decide(prev, curr, cfg, *, step=0, parallel=False):
     spec_curr = scipy.fft.fft2(curr)
     amp_prev = np.abs(spec_prev)
     amp_curr = np.abs(spec_curr)
-    t_transform = time.perf_counter_ns() - t0
+    timings = {"transform": (time.perf_counter_ns() - t0) // 1000}
+    failure = None
 
-    def migration_stage():
-        t = time.perf_counter_ns()
-        sim = sim_freq(amp_prev, amp_curr)
-        if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
-            raise ConstantFrameError("no texture; displacement undefined")
-        disp = phase_correlation_spectra(spec_prev, spec_curr, cfg.patch_size)
-        align = alignment_mask(disp, grid)
-        return sim, disp, align, time.perf_counter_ns() - t
-
-    def edge_stage():
-        t = time.perf_counter_ns()
-        energy = patch_energy(grid)
-        fresh = refresh_mask(energy, cfg.edge_lambda)
-        return energy, fresh, time.perf_counter_ns() - t
-
-    def budget_stage():
-        t = time.perf_counter_ns()
-        entropy = spectral_entropy(amp_curr)
-        alpha, k_reuse = reuse_budget(entropy.normalized, cfg.budget, n)
-        return entropy, alpha, k_reuse, time.perf_counter_ns() - t
-
-    stages = (migration_stage, edge_stage, budget_stage)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = [pool.submit(s) for s in stages]
-            results = []
-            for f in futures:
-                try:
-                    results.append(f.result())
-                except _ANALYSIS_ERRORS as exc:
-                    results.append(exc)
-    else:
-        results = []
-        for s in stages:
-            try:
-                results.append(s())
-            except _ANALYSIS_ERRORS as exc:
-                results.append(exc)
-    mig, edge, bud = results
-
-    # Synchronization point: all three stages have completed.
-    timings = {"transform": t_transform // 1000}
     sim = 0.0
     disp = Displacement(0, 0, 0, 0)
     align = None
-    if not isinstance(mig, Exception):
-        sim, disp, align, dt = mig
-        timings["migration"] = dt // 1000
+    t0 = time.perf_counter_ns()
+    try:
+        stage_sim = sim_freq(amp_prev, amp_curr)
+        if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
+            raise ConstantFrameError("no texture; displacement undefined")
+        stage_disp = phase_correlation_spectra(spec_prev, spec_curr,
+                                               cfg.patch_size)
+        align = alignment_mask(stage_disp, grid)
+        sim, disp = stage_sim, stage_disp
+        timings["migration"] = (time.perf_counter_ns() - t0) // 1000
+    except _ANALYSIS_ERRORS as exc:
+        failure = exc
+
     entropy = EntropyReading(0.0, 0.0, prev.size)
     alpha, k_reuse = 0.0, 0
-    if not isinstance(bud, Exception):
-        entropy, alpha, k_reuse, dt = bud
-        timings["budget"] = dt // 1000
-    energy, fresh, dt = edge
-    timings["edge"] = dt // 1000
+    t0 = time.perf_counter_ns()
+    try:
+        stage_entropy = spectral_entropy(amp_curr)
+        alpha, k_reuse = reuse_budget(stage_entropy.normalized, cfg.budget, n)
+        entropy = stage_entropy
+        timings["budget"] = (time.perf_counter_ns() - t0) // 1000
+    except _ANALYSIS_ERRORS as exc:
+        failure = failure or exc
+
+    t0 = time.perf_counter_ns()
+    energy = patch_energy(grid)
+    fresh = refresh_mask(energy, cfg.edge_lambda)
+    timings["edge"] = (time.perf_counter_ns() - t0) // 1000
     refresh_set = tuple(int(p) for p in np.flatnonzero(fresh.mask.ravel()))
 
-    failure = next((r for r in (mig, bud) if isinstance(r, Exception)), None)
-
+    # Synchronization point: all three analyses have completed.
     t_sel = time.perf_counter_ns()
-    if failure is not None:
-        flushed, diagnostic = True, str(failure)
-        k_candidate, k_final = 0, 0
-        reuse = ()
-    elif migration_gate(sim, cfg.tau_mig) is GateAction.FLUSH:
-        flushed, diagnostic = True, None
-        k_candidate, k_final = 0, 0
-        reuse = ()
-    else:
-        flushed, diagnostic = False, None
+    diagnostic = None if failure is None else str(failure)
+    flushed = (failure is not None
+               or migration_gate(sim, cfg.tau_mig) is GateAction.FLUSH)
+    k_candidate, k_final, reuse = 0, 0, ()
+    if not flushed:
         candidate_idx = np.flatnonzero((align & ~fresh.mask).ravel())
         k_candidate = int(candidate_idx.size)
         k_final = min(k_reuse, k_candidate)
@@ -238,189 +207,32 @@ def decide(prev, curr, cfg, *, step=0, parallel=False):
         diagnostic=diagnostic,
         timings_us=timings,
     )
-    _assert_decision(decision, align, fresh.mask, n)
+    _check_decision(decision, align, fresh.mask, n)
     return decision
 
 
-def _assert_decision(decision, align, fresh, n):
-    """In-run invariants: partition, budget, flush, and safety."""
+def _check_decision(decision, align, fresh, n):
+    """In-run invariants: partition, budget, flush, and safety.
+
+    Explicit raises rather than ``assert``, so ``python -O`` keeps them.
+    """
     reuse = set(decision.reuse_set)
     recompute = set(decision.recompute_set)
-    assert not reuse & recompute, "reuse and recompute sets overlap"
-    assert len(reuse) + len(recompute) == n, "sets do not partition the patches"
-    assert decision.k_final == len(decision.reuse_set) == min(
+    if reuse & recompute or len(reuse) + len(recompute) != n:
+        raise InvariantError("reuse and recompute sets do not partition the patches")
+    if not decision.k_final == len(decision.reuse_set) == min(
         decision.k_reuse, decision.k_candidate
-    ), "reuse count does not match the budget rule"
-    if decision.flushed:
-        assert decision.k_final == 0, "flushed step must reuse nothing"
+    ):
+        raise InvariantError("reuse count does not match the budget rule")
+    if decision.flushed and decision.k_final != 0:
+        raise InvariantError("flushed step must reuse nothing")
     if align is not None:
-        align_flat = align.ravel()
-        fresh_flat = fresh.ravel()
-        for p in decision.reuse_set:
-            assert align_flat[p] and not fresh_flat[p], (
-                f"reused patch {p} violates alignment/refresh safety"
+        idx = np.asarray(decision.reuse_set, dtype=np.int64)
+        unsafe = idx[~align.ravel()[idx] | fresh.ravel()[idx]]
+        if unsafe.size:
+            raise InvariantError(
+                f"reused patch {unsafe[0]} violates alignment/refresh safety"
             )
-
-
-def decide_reference(prev, curr, cfg, *, step=0):
-    """Slow twin of :func:`decide` built from direct-definition transforms
-    and a full sort in place of the fast selection.
-
-    Exists for equivalence testing only; it must agree with ``decide``
-    field-by-field on every input.
-    """
-    prev = validate_frame(prev)
-    curr = validate_frame(curr)
-    if prev.shape != curr.shape:
-        raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
-    grid = PatchGrid(curr, cfg.patch_size)
-    n = grid.n_patches
-    h, w = curr.shape
-
-    spec_prev = _dft2_direct(prev)
-    spec_curr = _dft2_direct(curr)
-    amp_prev = np.abs(spec_prev)
-    amp_curr = np.abs(spec_curr)
-
-    # Edge analysis (never degenerate): per-patch masked DCT energy.
-    p = cfg.patch_size
-    cut = cutoff_index(p)
-    hp = np.ones((p, p))
-    hp[:cut, :cut] = 0.0
-    energies = np.empty((grid.rows, grid.cols))
-    for i in range(grid.rows):
-        for j in range(grid.cols):
-            coeffs = hp * _dct2_direct(grid.patch(i, j))
-            energies[i, j] = float(np.sum(coeffs * coeffs))
-    mu = float(energies.sum()) / n
-    sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / n)
-    fresh = energies > mu + cfg.edge_lambda * sigma
-    refresh_set = tuple(int(q) for q in np.flatnonzero(fresh.ravel()))
-
-    # Mirror decide's stage semantics: a stage that raises contributes only
-    # its defaults, even for values it had produced before failing.
-    failure = None
-    sim = 0.0
-    disp = Displacement(0, 0, 0, 0)
-    align = None
-    try:
-        norm_p = math.sqrt(float(np.sum(amp_prev * amp_prev)))
-        norm_c = math.sqrt(float(np.sum(amp_curr * amp_curr)))
-        if norm_p == 0.0 or norm_c == 0.0:
-            raise DegenerateSpectrumError("degenerate spectrum")
-        stage_sim = min(1.0, float(np.sum(amp_prev * amp_curr)) / (norm_p * norm_c))
-        if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
-            raise ConstantFrameError("no texture; displacement undefined")
-        cross = spec_prev * np.conj(spec_curr)
-        cross /= np.abs(cross) + CROSS_POWER_EPS
-        response = _idft2_direct(cross).real
-        peak = response.max()
-        best_key = None
-        di = dj = 0
-        for pi, pj in np.argwhere(response == peak):
-            ci = int(-pi) % h
-            cj = int(-pj) % w
-            ci = ci - h if 2 * ci >= h else ci
-            cj = cj - w if 2 * cj >= w else cj
-            key = (abs(ci) + abs(cj), int(pi), int(pj))
-            if best_key is None or key < best_key:
-                best_key = key
-                di, dj = ci, cj
-        stage_disp = Displacement.from_pixels(di, dj, p)
-        stage_align = np.zeros((grid.rows, grid.cols), dtype=bool)
-        for i in range(grid.rows):
-            for j in range(grid.cols):
-                si = i - stage_disp.di_patches
-                sj = j - stage_disp.dj_patches
-                stage_align[i, j] = 0 <= si < grid.rows and 0 <= sj < grid.cols
-        sim, disp, align = stage_sim, stage_disp, stage_align
-    except _ANALYSIS_ERRORS as exc:
-        failure = exc
-
-    entropy = EntropyReading(0.0, 0.0, prev.size)
-    alpha, k_reuse = 0.0, 0
-    try:
-        power = (amp_curr * amp_curr).ravel()
-        total = float(power.sum())
-        if total <= 0.0:
-            raise DegenerateSpectrumError("degenerate spectrum")
-        prob = power / total
-        raw = float(-np.sum(prob[prob > 0.0] * np.log(prob[prob > 0.0]))) + 0.0
-        stage_entropy = EntropyReading(raw, raw / math.log(prob.size), prob.size)
-        stage_alpha = cfg.budget.alpha_min + (
-            cfg.budget.alpha_max - cfg.budget.alpha_min
-        ) * math.exp(-stage_entropy.normalized)
-        entropy = stage_entropy
-        alpha = stage_alpha
-        k_reuse = int(math.floor(stage_alpha * n))
-    except _ANALYSIS_ERRORS as exc:
-        failure = failure or exc
-
-    if failure is not None:
-        flushed, diagnostic = True, str(failure)
-        k_candidate, k_final = 0, 0
-        reuse = ()
-    elif sim < cfg.tau_mig:
-        flushed, diagnostic = True, None
-        k_candidate, k_final = 0, 0
-        reuse = ()
-    else:
-        flushed, diagnostic = False, None
-        e_flat = energies.ravel()
-        candidates = [
-            q for q in range(n) if align.ravel()[q] and not fresh.ravel()[q]
-        ]
-        k_candidate = len(candidates)
-        k_final = min(k_reuse, k_candidate)
-        ranked = sorted(candidates, key=lambda q: (e_flat[q], q))
-        reuse = tuple(ranked[:k_final])
-    reused = set(reuse)
-    recompute = tuple(q for q in range(n) if q not in reused)
-
-    decision = CacheDecision(
-        step=int(step),
-        flushed=flushed,
-        sim_freq=float(sim),
-        displacement=disp,
-        entropy=entropy,
-        alpha_t=float(alpha),
-        k_reuse=int(k_reuse),
-        k_candidate=int(k_candidate),
-        k_final=int(k_final),
-        reuse_set=reuse,
-        recompute_set=recompute,
-        rows=grid.rows,
-        cols=grid.cols,
-        refresh_set=refresh_set,
-        diagnostic=diagnostic,
-    )
-    _assert_decision(decision, align if not flushed else None, fresh, n)
-    return decision
-
-
-def _dft_matrix(n):
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n)
-
-
-def _dft2_direct(frame):
-    h, w = frame.shape
-    return _dft_matrix(h) @ frame.astype(np.complex128) @ _dft_matrix(w)
-
-
-def _idft2_direct(spec):
-    h, w = spec.shape
-    return np.conj(_dft_matrix(h)) @ spec @ np.conj(_dft_matrix(w)) / (h * w)
-
-
-def _dct2_direct(patch):
-    p = patch.shape[0]
-    x = np.arange(p)
-    basis = np.cos(np.pi * np.outer(np.arange(p), 2 * x + 1) / (2 * p))
-    scale = np.full(p, math.sqrt(2.0 / p))
-    scale[0] = math.sqrt(1.0 / p)
-    c = basis * scale[:, None]
-    return c @ patch @ c.T
 
 
 @dataclass
@@ -450,25 +262,20 @@ class StepReport:
 def populate_cache(frame, patch_size, token_fn):
     """Cold-start cache: every slot computed from the frame, all ages 0."""
     grid = PatchGrid(frame, patch_size)
-    first = np.asarray(token_fn(grid.patch(0, 0)), dtype=np.float64).ravel()
-    tokens = np.empty((grid.rows, grid.cols, first.size))
-    tokens[0, 0] = first
-    for idx in range(1, grid.n_patches):
-        i, j = grid.position(idx)
-        tokens[i, j] = np.asarray(token_fn(grid.patch(i, j)), dtype=np.float64).ravel()
+    tokens = grid.tokens(token_fn).reshape(grid.rows, grid.cols, -1)
     return TokenCache(tokens, np.zeros((grid.rows, grid.cols), dtype=np.int64))
 
 
-def step(cache, decision, curr, token_fn, cost_model=None):
+def step(cache, decision, curr, token_fn):
     """Apply a decision to the cache for the current frame.
 
     Reused slots are copied from their displacement-mapped source in the
     previous cache and their age incremented; everything else is recomputed
     with ``token_fn`` at age 0. Passing ``cache=None`` (cold start) or a
-    flushed decision recomputes every slot.
+    flushed decision recomputes every slot. A reused slot whose source lies
+    outside the grid raises :class:`InvariantError`.
     """
     curr = validate_frame(curr)
-    cost_model = cost_model or DEFAULT_COST_MODEL
     rows, cols = decision.rows, decision.cols
     h, w = curr.shape
     if h % rows or w % cols or h // rows != w // cols:
@@ -478,38 +285,36 @@ def step(cache, decision, curr, token_fn, cost_model=None):
     grid = PatchGrid(curr, h // rows)
     n = grid.n_patches
 
-    reuse = () if cache is None or decision.flushed else decision.reuse_set
-    tokens = None
-    ages = np.zeros((rows, cols), dtype=np.int64)
-    dip, djp = decision.displacement.di_patches, decision.displacement.dj_patches
-    for idx in reuse:
-        i, j = grid.position(idx)
-        si, sj = i - dip, j - djp
-        assert 0 <= si < rows and 0 <= sj < cols, (
-            f"reuse source ({si}, {sj}) out of bounds for patch {idx}"
+    reuse = np.asarray(
+        () if cache is None or decision.flushed else decision.reuse_set,
+        dtype=np.int64,
+    )
+    si = reuse // cols - decision.displacement.di_patches
+    sj = reuse % cols - decision.displacement.dj_patches
+    outside = (si < 0) | (si >= rows) | (sj < 0) | (sj >= cols)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise InvariantError(
+            f"reuse source ({si[k]}, {sj[k]}) out of bounds for patch {reuse[k]}"
         )
-        if tokens is None:
-            tokens = np.empty((rows, cols) + cache.tokens.shape[2:])
-        tokens[i, j] = cache.tokens[si, sj]
-        ages[i, j] = cache.ages[si, sj] + 1
-    reused = set(reuse)
-    for idx in range(n):
-        if idx in reused:
-            continue
-        i, j = grid.position(idx)
-        vec = np.asarray(token_fn(grid.patch(i, j)), dtype=np.float64).ravel()
-        if tokens is None:
-            tokens = np.empty((rows, cols, vec.size))
-        tokens[i, j] = vec
-        ages[i, j] = 0
-    n_recomputed = n - len(reused)
+    recompute = np.setdiff1d(np.arange(n), reuse)
+    if recompute.size:
+        fresh = grid.tokens(token_fn, recompute)
+        tokens = np.empty((n, fresh.shape[1]))
+        tokens[recompute] = fresh
+    else:
+        tokens = np.empty((n, cache.tokens.shape[2]))
+    ages = np.zeros(n, dtype=np.int64)
+    if reuse.size:
+        tokens[reuse] = cache.tokens[si, sj]
+        ages[reuse] = cache.ages[si, sj] + 1
     report = StepReport(
         step=decision.step,
-        n_reused=len(reused),
-        n_recomputed=n_recomputed,
-        latency_model_ms=cost_model.latency_ms(n_recomputed),
+        n_reused=n - recompute.size,
+        n_recomputed=recompute.size,
+        latency_model_ms=DEFAULT_COST_MODEL.latency_ms(recompute.size),
     )
-    return TokenCache(tokens, ages), report
+    return TokenCache(tokens.reshape(rows, cols, -1), ages.reshape(rows, cols)), report
 
 
 @dataclass
@@ -531,8 +336,7 @@ class SequenceReport:
     flush_count: int
 
 
-def run_sequence(frames, cfg, token_fn=default_token_fn, cost_model=None,
-                 parallel=False):
+def run_sequence(frames, cfg, token_fn=default_token_fn):
     """Drive decide/step over consecutive frames and aggregate the metrics."""
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
@@ -543,7 +347,6 @@ def run_sequence(frames, cfg, token_fn=default_token_fn, cost_model=None,
             raise ValueError(
                 f"frame at step {t}: dimension mismatch {f.shape} vs {shape}"
             )
-    cost_model = cost_model or DEFAULT_COST_MODEL
     grid = PatchGrid(frames[0], cfg.patch_size)
     n = grid.n_patches
 
@@ -551,14 +354,14 @@ def run_sequence(frames, cfg, token_fn=default_token_fn, cost_model=None,
     decisions = []
     reports = []
     for t in range(1, len(frames)):
-        d = decide(frames[t - 1], frames[t], cfg, step=t, parallel=parallel)
-        cache, rep = step(cache, d, frames[t], token_fn, cost_model)
+        d = decide(frames[t - 1], frames[t], cfg, step=t)
+        cache, rep = step(cache, d, frames[t], token_fn)
         decisions.append(d)
         reports.append(rep)
 
     total_reused = sum(d.k_final for d in decisions)
     mean_latency = sum(r.latency_model_ms for r in reports) / len(reports)
-    baseline = cost_model.latency_ms(n)
+    baseline = DEFAULT_COST_MODEL.latency_ms(n)
     return SequenceReport(
         n_frames=len(frames),
         n_tokens=n,

@@ -62,18 +62,11 @@ def sim_spatial(prev, curr, grid, token_fn):
     curr = validate_frame(curr)
     if prev.shape != curr.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
-    total = 0.0
-    degenerate = 0
-    for i in range(grid.rows):
-        for j in range(grid.cols):
-            a = np.asarray(token_fn(grid.patch(i, j, prev)), dtype=np.float64).ravel()
-            b = np.asarray(token_fn(grid.patch(i, j, curr)), dtype=np.float64).ravel()
-            norm_a = float(np.linalg.norm(a))
-            norm_b = float(np.linalg.norm(b))
-            if norm_a == 0.0 or norm_b == 0.0:
-                degenerate += 1
-                continue
-            total += float(np.dot(a, b)) / (norm_a * norm_b)
+    a = grid.tokens(token_fn, frame=prev)
+    b = grid.tokens(token_fn, frame=curr)
+    degenerate = int(np.count_nonzero(
+        (np.linalg.norm(a, axis=1) == 0.0) | (np.linalg.norm(b, axis=1) == 0.0)
+    ))
     if degenerate:
         warnings.warn(
             f"{degenerate} patch position(s) had zero-norm embeddings and "
@@ -81,7 +74,19 @@ def sim_spatial(prev, curr, grid, token_fn):
             RuntimeWarning,
             stacklevel=2,
         )
-    return total / grid.n_patches
+    return float(_position_cosines(a, b).sum()) / grid.n_patches
+
+
+def _position_cosines(prev_vecs, curr_vecs):
+    """Row-wise cosine of two (n, d) stacks; zero-norm rows score 0."""
+    num = np.einsum("nd,nd->n", prev_vecs, curr_vecs)
+    norm_p = np.linalg.norm(prev_vecs, axis=1)
+    norm_c = np.linalg.norm(curr_vecs, axis=1)
+    denom = norm_p * norm_c
+    out = np.zeros(prev_vecs.shape[0])
+    ok = denom > 0.0
+    out[ok] = num[ok] / denom[ok]
+    return out
 
 
 def sim_freq(amp_prev, amp_curr):

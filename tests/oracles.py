@@ -2,12 +2,21 @@
 
 These deliberately restate the transform and search definitions with
 explicit loops over output bins so they share nothing with the package
-code they check.
+code they check. ``decide_reference`` is the exception: it shares only the
+package's data types, frame validation and invariant checks with
+``decide``, and rebuilds every analysis from direct definitions.
 """
 
 import math
 
 import numpy as np
+
+from freqcache.budget import EntropyReading
+from freqcache.edge_refresh import cutoff_index
+from freqcache.errors import ConstantFrameError, DegenerateSpectrumError
+from freqcache.frame import PatchGrid, validate_frame
+from freqcache.fusion import _ANALYSIS_ERRORS, CacheDecision, _check_decision
+from freqcache.migration import CROSS_POWER_EPS, Displacement
 
 
 def naive_dft2(frame):
@@ -154,3 +163,164 @@ def assert_decision_equivalence(fast, ref, tol=1e-9):
     assert abs(fast.entropy.raw - ref.entropy.raw) <= tol
     assert abs(fast.entropy.normalized - ref.entropy.normalized) <= tol
     assert fast.entropy.bin_count == ref.entropy.bin_count
+
+
+def decide_reference(prev, curr, cfg, *, step=0):
+    """Slow twin of :func:`decide` built from direct-definition transforms
+    and a full sort in place of the fast selection.
+
+    Exists for equivalence testing only; it must agree with ``decide``
+    field-by-field on every input.
+    """
+    prev = validate_frame(prev)
+    curr = validate_frame(curr)
+    if prev.shape != curr.shape:
+        raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
+    grid = PatchGrid(curr, cfg.patch_size)
+    n = grid.n_patches
+    h, w = curr.shape
+
+    spec_prev = _dft2_direct(prev)
+    spec_curr = _dft2_direct(curr)
+    amp_prev = np.abs(spec_prev)
+    amp_curr = np.abs(spec_curr)
+
+    # Edge analysis (never degenerate): per-patch masked DCT energy.
+    p = cfg.patch_size
+    cut = cutoff_index(p)
+    hp = np.ones((p, p))
+    hp[:cut, :cut] = 0.0
+    energies = np.empty((grid.rows, grid.cols))
+    for i in range(grid.rows):
+        for j in range(grid.cols):
+            coeffs = hp * _dct2_direct(grid.patch(i, j))
+            energies[i, j] = float(np.sum(coeffs * coeffs))
+    mu = float(energies.sum()) / n
+    sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / n)
+    fresh = energies > mu + cfg.edge_lambda * sigma
+    refresh_set = tuple(int(q) for q in np.flatnonzero(fresh.ravel()))
+
+    # Mirror decide's stage semantics: a stage that raises contributes only
+    # its defaults, even for values it had produced before failing.
+    failure = None
+    sim = 0.0
+    disp = Displacement(0, 0, 0, 0)
+    align = None
+    try:
+        norm_p = math.sqrt(float(np.sum(amp_prev * amp_prev)))
+        norm_c = math.sqrt(float(np.sum(amp_curr * amp_curr)))
+        if norm_p == 0.0 or norm_c == 0.0:
+            raise DegenerateSpectrumError("degenerate spectrum")
+        stage_sim = min(1.0, float(np.sum(amp_prev * amp_curr)) / (norm_p * norm_c))
+        if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
+            raise ConstantFrameError("no texture; displacement undefined")
+        cross = spec_prev * np.conj(spec_curr)
+        cross /= np.abs(cross) + CROSS_POWER_EPS
+        response = _idft2_direct(cross).real
+        peak = response.max()
+        best_key = None
+        di = dj = 0
+        for pi, pj in np.argwhere(response == peak):
+            ci = int(-pi) % h
+            cj = int(-pj) % w
+            ci = ci - h if 2 * ci >= h else ci
+            cj = cj - w if 2 * cj >= w else cj
+            key = (abs(ci) + abs(cj), int(pi), int(pj))
+            if best_key is None or key < best_key:
+                best_key = key
+                di, dj = ci, cj
+        stage_disp = Displacement.from_pixels(di, dj, p)
+        stage_align = np.zeros((grid.rows, grid.cols), dtype=bool)
+        for i in range(grid.rows):
+            for j in range(grid.cols):
+                si = i - stage_disp.di_patches
+                sj = j - stage_disp.dj_patches
+                stage_align[i, j] = 0 <= si < grid.rows and 0 <= sj < grid.cols
+        sim, disp, align = stage_sim, stage_disp, stage_align
+    except _ANALYSIS_ERRORS as exc:
+        failure = exc
+
+    entropy = EntropyReading(0.0, 0.0, prev.size)
+    alpha, k_reuse = 0.0, 0
+    try:
+        power = (amp_curr * amp_curr).ravel()
+        total = float(power.sum())
+        if total <= 0.0:
+            raise DegenerateSpectrumError("degenerate spectrum")
+        prob = power / total
+        raw = float(-np.sum(prob[prob > 0.0] * np.log(prob[prob > 0.0]))) + 0.0
+        stage_entropy = EntropyReading(raw, raw / math.log(prob.size), prob.size)
+        stage_alpha = cfg.budget.alpha_min + (
+            cfg.budget.alpha_max - cfg.budget.alpha_min
+        ) * math.exp(-stage_entropy.normalized)
+        entropy = stage_entropy
+        alpha = stage_alpha
+        k_reuse = int(math.floor(stage_alpha * n))
+    except _ANALYSIS_ERRORS as exc:
+        failure = failure or exc
+
+    if failure is not None:
+        flushed, diagnostic = True, str(failure)
+        k_candidate, k_final = 0, 0
+        reuse = ()
+    elif sim < cfg.tau_mig:
+        flushed, diagnostic = True, None
+        k_candidate, k_final = 0, 0
+        reuse = ()
+    else:
+        flushed, diagnostic = False, None
+        e_flat = energies.ravel()
+        candidates = [
+            q for q in range(n) if align.ravel()[q] and not fresh.ravel()[q]
+        ]
+        k_candidate = len(candidates)
+        k_final = min(k_reuse, k_candidate)
+        ranked = sorted(candidates, key=lambda q: (e_flat[q], q))
+        reuse = tuple(ranked[:k_final])
+    reused = set(reuse)
+    recompute = tuple(q for q in range(n) if q not in reused)
+
+    decision = CacheDecision(
+        step=int(step),
+        flushed=flushed,
+        sim_freq=float(sim),
+        displacement=disp,
+        entropy=entropy,
+        alpha_t=float(alpha),
+        k_reuse=int(k_reuse),
+        k_candidate=int(k_candidate),
+        k_final=int(k_final),
+        reuse_set=reuse,
+        recompute_set=recompute,
+        rows=grid.rows,
+        cols=grid.cols,
+        refresh_set=refresh_set,
+        diagnostic=diagnostic,
+    )
+    _check_decision(decision, align if not flushed else None, fresh, n)
+    return decision
+
+
+def _dft_matrix(n):
+    k = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(k, k) / n)
+
+
+def _dft2_direct(frame):
+    h, w = frame.shape
+    return _dft_matrix(h) @ frame.astype(np.complex128) @ _dft_matrix(w)
+
+
+def _idft2_direct(spec):
+    h, w = spec.shape
+    return np.conj(_dft_matrix(h)) @ spec @ np.conj(_dft_matrix(w)) / (h * w)
+
+
+def _dct2_direct(patch):
+    p = patch.shape[0]
+    x = np.arange(p)
+    basis = np.cos(np.pi * np.outer(np.arange(p), 2 * x + 1) / (2 * p))
+    scale = np.full(p, math.sqrt(2.0 / p))
+    scale[0] = math.sqrt(1.0 / p)
+    c = basis * scale[:, None]
+    return c @ patch @ c.T

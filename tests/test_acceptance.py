@@ -18,7 +18,6 @@ from freqcache import (
     PatchGrid,
     block_dct,
     decide,
-    decide_reference,
     dft2,
     idft2,
     patch_energy,
@@ -38,6 +37,7 @@ from freqcache.scenes import SceneSpec, generate_scene
 from oracles import (
     assert_decision_equivalence,
     brute_force_displacement,
+    decide_reference,
     naive_dct2,
     naive_dft2,
 )
