@@ -23,7 +23,7 @@ from .errors import (
     FrameParseError,
     InvariantError,
 )
-from .frame import PatchGrid, validate_frame
+from .frame import PatchGrid, per_patch, validate_frame
 from .fusion import (
     DEFAULT_COST_MODEL,
     CacheConfig,
@@ -87,6 +87,7 @@ __all__ = [
     "idft2",
     "migration_gate",
     "patch_energy",
+    "per_patch",
     "phase_correlation",
     "phase_correlation_spectra",
     "populate_cache",

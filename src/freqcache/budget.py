@@ -45,7 +45,7 @@ def spectral_entropy(amplitude, include_dc=True):
         raise ValueError("amplitude grid contains non-finite values")
     if np.any(a < 0.0):
         raise ValueError("amplitude grid must be nonnegative")
-    power = (a * a).ravel().copy()
+    power = (a * a).ravel()
     if power.size < 2:
         raise ValueError("amplitude grid must have at least 2 bins")
     if not include_dc:
@@ -53,9 +53,9 @@ def spectral_entropy(amplitude, include_dc=True):
     total = float(power.sum())
     if total <= 0.0:
         raise DegenerateSpectrumError("degenerate spectrum")
-    p = power / total
-    raw = float(-np.sum(xlogy(p, p))) + 0.0
-    return EntropyReading(raw, raw / math.log(p.size), p.size)
+    power /= total
+    raw = float(-np.sum(xlogy(power, power))) + 0.0
+    return EntropyReading(raw, raw / math.log(power.size), power.size)
 
 
 def reuse_budget(normalized_entropy, cfg, n_tokens):

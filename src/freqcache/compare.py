@@ -21,8 +21,8 @@ from .fusion import DEFAULT_COST_MODEL, decide
 from .migration import _position_cosines
 
 
-def _raw_pixels(patch):
-    return patch.ravel()
+def _raw_pixels(patches):
+    return patches.reshape(len(patches), -1)
 
 
 def _patch_amplitudes(grid, frame):

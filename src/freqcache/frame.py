@@ -2,6 +2,11 @@
 
 import numpy as np
 
+# Pixels per token_fn call in PatchGrid.tokens. Bounded chunks keep the
+# gathered stack and its temporaries small: large fresh allocations page-
+# fault on every step, which cost more than the extra calls.
+TOKEN_CHUNK_PIXELS = 64 * 16 * 16
+
 
 def validate_frame(data):
     """Coerce input to a 2D float64 grid, rejecting empty or non-finite data."""
@@ -70,16 +75,33 @@ class PatchGrid:
         """Token vectors of the listed patches as a (k, dim) float64 array.
 
         ``indices`` are row-major patch indices (default: every patch in
-        order); ``token_fn`` is called once per listed patch on its (P, P)
-        view. The frame is resolved once. An empty list gives shape (0, 0).
+        order). ``token_fn`` takes a (k, P, P) stack of patches and returns
+        k * dim values, read as (k, dim); it is called on consecutive chunks
+        of at most ``TOKEN_CHUNK_PIXELS // P**2`` patches (at least one),
+        never on an empty stack. Wrap a callable that takes one (P, P) patch
+        at a time in :func:`per_patch`. An empty list gives shape (0, 0).
         """
-        f = self._resolve(frame)
-        p = self.patch_size
+        blocks = self.blocks(frame)
         if indices is None:
-            indices = range(self.n_patches)
+            indices = np.arange(self.n_patches)
+        indices = np.asarray(indices, dtype=np.intp).ravel()
+        n = self.n_patches
+        if indices.size and not 0 <= indices.min() <= indices.max() < n:
+            raise IndexError(
+                f"patch indices must lie in [0, {n}), got "
+                f"{indices.min()}..{indices.max()}"
+            )
+        chunk = max(1, TOKEN_CHUNK_PIXELS // self.patch_size ** 2)
         vecs = []
-        for idx in indices:
-            i, j = divmod(int(idx), self.cols)
-            patch = f[i * p:(i + 1) * p, j * p:(j + 1) * p]
-            vecs.append(np.asarray(token_fn(patch), dtype=np.float64).ravel())
-        return np.stack(vecs) if vecs else np.empty((0, 0))
+        for start in range(0, indices.size, chunk):
+            i, j = np.divmod(indices[start:start + chunk], self.cols)
+            # Fancy indexing gathers only the listed patches; reshaping the
+            # swapped view instead would copy the whole frame.
+            out = np.asarray(token_fn(blocks[i, j]), dtype=np.float64)
+            vecs.append(out.reshape(i.size, -1))
+        return np.concatenate(vecs) if vecs else np.empty((0, 0))
+
+
+def per_patch(fn):
+    """Adapt a token function of one (P, P) patch to the batched contract."""
+    return lambda patches: np.stack([np.ravel(fn(p)) for p in patches])

@@ -92,11 +92,36 @@ class CacheDecision:
     timings_us: dict = field(default_factory=dict, compare=False)
 
 
-def default_token_fn(patch):
-    """16-bin intensity histogram over [0, 1] plus patch mean and variance."""
-    p = np.asarray(patch, dtype=np.float64)
-    hist, _ = np.histogram(np.clip(p, 0.0, 1.0), bins=16, range=(0.0, 1.0))
-    return np.concatenate([hist.astype(np.float64), [p.mean(), p.var()]])
+_TOKEN_BINS = 16
+_TOKEN_EDGES = np.linspace(0.0, 1.0, _TOKEN_BINS + 1)
+
+
+def default_token_fn(patches):
+    """Per patch of a (k, P, P) stack: the 16-bin intensity histogram over
+    [0, 1] of the clipped pixels, then the mean and variance; shape (k, 18).
+
+    Bins follow ``np.histogram(clip(p, 0, 1), bins=16, range=(0, 1))``
+    bit for bit: 1.0 falls in the last bin and values on an edge in the
+    bin that edge opens.
+    """
+    a = np.asarray(patches, dtype=np.float64)
+    k = a.shape[0]
+    flat = a.reshape(k, -1)
+    clipped = np.clip(flat, 0.0, 1.0)
+    # numpy's uniform-bin rule: scale, truncate, then correct the bins
+    # that rounding put one off against the exact edges.
+    idx = (clipped * _TOKEN_BINS).astype(np.intp)
+    idx[idx == _TOKEN_BINS] = _TOKEN_BINS - 1
+    idx[clipped < _TOKEN_EDGES[idx]] -= 1
+    idx[(clipped >= _TOKEN_EDGES[idx + 1]) & (idx != _TOKEN_BINS - 1)] += 1
+    idx += _TOKEN_BINS * np.arange(k)[:, None]
+    out = np.empty((k, _TOKEN_BINS + 2))
+    out[:, :_TOKEN_BINS] = np.bincount(
+        idx.ravel(), minlength=k * _TOKEN_BINS
+    ).reshape(k, _TOKEN_BINS)
+    out[:, _TOKEN_BINS] = flat.mean(axis=1)
+    out[:, _TOKEN_BINS + 1] = flat.var(axis=1)
+    return out
 
 
 def topk_ascending(candidates, energies, k):
@@ -110,7 +135,7 @@ def topk_ascending(candidates, energies, k):
         return ()
     e = np.asarray(energies, dtype=np.float64).ravel()
     order = np.lexsort((cand, e[cand]))
-    return tuple(int(cand[o]) for o in order[: min(int(k), cand.size)])
+    return tuple(cand[order[: min(int(k), cand.size)]].tolist())
 
 
 _ANALYSIS_ERRORS = (DegenerateSpectrumError, ConstantFrameError)
@@ -171,7 +196,7 @@ def decide(prev, curr, cfg, *, step=0):
     energy = patch_energy(grid)
     fresh = refresh_mask(energy, cfg.edge_lambda)
     timings["edge"] = (time.perf_counter_ns() - t0) // 1000
-    refresh_set = tuple(int(p) for p in np.flatnonzero(fresh.mask.ravel()))
+    refresh_set = tuple(np.flatnonzero(fresh.mask.ravel()).tolist())
 
     # Synchronization point: all three analyses have completed.
     t_sel = time.perf_counter_ns()
@@ -186,7 +211,7 @@ def decide(prev, curr, cfg, *, step=0):
         reuse = topk_ascending(candidate_idx, energy.energies, k_final)
     keep = np.ones(n, dtype=bool)
     keep[list(reuse)] = False
-    recompute = tuple(int(p) for p in np.flatnonzero(keep))
+    recompute = tuple(np.flatnonzero(keep).tolist())
     timings["select"] = (time.perf_counter_ns() - t_sel) // 1000
 
     decision = CacheDecision(
@@ -207,7 +232,9 @@ def decide(prev, curr, cfg, *, step=0):
         diagnostic=diagnostic,
         timings_us=timings,
     )
+    t0 = time.perf_counter_ns()
     _check_decision(decision, align, fresh.mask, n)
+    timings["check"] = (time.perf_counter_ns() - t0) // 1000
     return decision
 
 

@@ -131,10 +131,19 @@ def phase_correlation(prev, curr, patch_size=1):
 
 
 def phase_correlation_spectra(spec_prev, spec_curr, patch_size=1):
-    """Phase correlation on precomputed forward spectra of the two frames."""
-    cross = spec_prev * np.conj(spec_curr)
-    cross /= np.abs(cross) + CROSS_POWER_EPS
-    response = scipy.fft.ifft2(cross).real
+    """Phase correlation on the full ``fft2`` spectra of two real frames.
+
+    The spectra must come from real frames: only their non-negative column
+    frequencies are read, and the rest is implied by Hermitian symmetry.
+    """
+    shape = spec_prev.shape
+    half = shape[1] // 2 + 1
+    cross = np.conj(spec_curr[:, :half])
+    cross *= spec_prev[:, :half]
+    mag = np.abs(cross)
+    mag += CROSS_POWER_EPS
+    cross /= mag
+    response = scipy.fft.irfft2(cross, s=shape)
     di, dj = _impulse_displacement(response)
     return Displacement.from_pixels(di, dj, patch_size)
 

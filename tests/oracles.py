@@ -5,18 +5,25 @@ explicit loops over output bins so they share nothing with the package
 code they check. ``decide_reference`` is the exception: it shares only the
 package's data types, frame validation and invariant checks with
 ``decide``, and rebuilds every analysis from direct definitions.
+``phase_correlation_full_spectrum`` is ``phase_correlation_spectra``
+inverted on the full spectrum with ``ifft2`` and shares its peak search.
 """
 
 import math
 
 import numpy as np
+import scipy.fft
 
 from freqcache.budget import EntropyReading
 from freqcache.edge_refresh import cutoff_index
 from freqcache.errors import ConstantFrameError, DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
 from freqcache.fusion import _ANALYSIS_ERRORS, CacheDecision, _check_decision
-from freqcache.migration import CROSS_POWER_EPS, Displacement
+from freqcache.migration import (
+    CROSS_POWER_EPS,
+    Displacement,
+    _impulse_displacement,
+)
 
 
 def naive_dft2(frame):
@@ -113,6 +120,23 @@ def brute_force_displacement(prev, curr):
                 best_val = corr[si, sj]
                 best = (di, dj)
     return best
+
+
+def histogram_token(patch):
+    """One patch's default token the direct way: ``np.histogram`` of the
+    clipped pixels, then the mean and variance."""
+    p = np.asarray(patch, dtype=np.float64)
+    hist, _ = np.histogram(np.clip(p, 0.0, 1.0), bins=16, range=(0.0, 1.0))
+    return np.concatenate([hist.astype(np.float64), [p.mean(), p.var()]])
+
+
+def phase_correlation_full_spectrum(spec_prev, spec_curr, patch_size=1):
+    """Phase correlation on precomputed forward spectra of the two frames."""
+    cross = spec_prev * np.conj(spec_curr)
+    cross /= np.abs(cross) + CROSS_POWER_EPS
+    response = scipy.fft.ifft2(cross).real
+    di, dj = _impulse_displacement(response)
+    return Displacement.from_pixels(di, dj, patch_size)
 
 
 def population_stats(values):

@@ -1,10 +1,49 @@
+import math
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freqcache import PatchGrid, default_token_fn
+from freqcache import PatchGrid, default_token_fn, per_patch
+from freqcache.frame import TOKEN_CHUNK_PIXELS
+
+from oracles import histogram_token
+
+EDGES = np.linspace(0.0, 1.0, 17)
+# Exact bin edges, their floating-point neighbours, values outside [0, 1]
+# and plain values inside it.
+PIXELS = st.one_of(
+    st.sampled_from([float(e) for e in EDGES]),
+    st.sampled_from([float(np.nextafter(e, side))
+                     for e in EDGES for side in (-np.inf, np.inf)]),
+    st.floats(-2.0, 3.0, allow_nan=False),
+    st.floats(0.0, 1.0),
+)
 
 
-def per_patch(grid, token_fn, indices, frame):
-    return [token_fn(grid.patch(*divmod(idx, grid.cols), frame)) for idx in indices]
+def view_tokens(grid, token_fn, indices, frame=None):
+    """One call per listed patch, on its (P, P) view of the frame."""
+    return np.stack([
+        np.ravel(token_fn(grid.patch(*divmod(int(idx), grid.cols), frame)))
+        for idx in indices
+    ])
+
+
+class TestDefaultTokenFn:
+    @given(p=st.sampled_from([2, 3, 8, 16, 32]), rows=st.integers(1, 2),
+           cols=st.integers(1, 3), palette=st.lists(PIXELS, min_size=1,
+                                                     max_size=24),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_batched_matches_per_patch_histogram(self, p, rows, cols,
+                                                 palette, seed):
+        rng = np.random.default_rng(seed)
+        frame = rng.choice(np.array(palette), size=(rows * p, cols * p))
+        grid = PatchGrid(frame, p)
+        got = grid.tokens(default_token_fn)
+        expected = view_tokens(grid, histogram_token, range(grid.n_patches))
+        assert np.array_equal(got, expected)
 
 
 class TestPatchGridTokens:
@@ -16,15 +55,18 @@ class TestPatchGridTokens:
         for frame in (None, other):
             got = grid.tokens(default_token_fn, indices, frame)
             assert got.shape == (4, 18)
-            expected = per_patch(grid, default_token_fn, indices, frame)
-            assert np.array_equal(got, np.stack(expected))
+            expected = grid.tokens(per_patch(histogram_token), indices, frame)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(
+                got, view_tokens(grid, histogram_token, indices, frame))
 
     def test_default_lists_every_patch_row_major(self):
         frame = np.arange(64.0).reshape(8, 8)
         grid = PatchGrid(frame, 4)
         got = grid.tokens(lambda p: p.ravel())
-        expected = per_patch(grid, lambda p: p.ravel(), range(4), None)
-        assert np.array_equal(got, np.stack(expected))
+        expected = grid.tokens(per_patch(lambda p: p.ravel()))
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, view_tokens(grid, np.ravel, range(4)))
 
     def test_empty_index_list_calls_nothing(self):
         calls = []
@@ -32,3 +74,35 @@ class TestPatchGridTokens:
         got = grid.tokens(lambda p: calls.append(p) or p.ravel(), [])
         assert got.shape == (0, 0)
         assert calls == []
+
+    @pytest.mark.parametrize("indices", [[0, 4], [-1]])
+    def test_out_of_range_index_rejected(self, indices):
+        grid = PatchGrid(np.ones((8, 8)), 4)
+        with pytest.raises(IndexError, match="patch indices"):
+            grid.tokens(default_token_fn, indices)
+
+    @pytest.mark.parametrize("p", [3, 8, 16, 32])
+    def test_chunk_boundaries(self, p):
+        chunk = max(1, TOKEN_CHUNK_PIXELS // p**2)
+        side = math.isqrt(chunk + 1) + 1  # at least chunk + 2 patches
+        rng = np.random.default_rng(p)
+        grid = PatchGrid(rng.random((side * p, side * p)) * 1.2 - 0.1, p)
+        n = grid.n_patches
+        order = rng.permutation(n)
+        sizes = []
+
+        def spy(patches):
+            sizes.append(len(patches))
+            return default_token_fn(patches)
+
+        for count in (0, 1, chunk - 1, chunk, chunk + 1, n):
+            indices = order[:count]
+            got = grid.tokens(spy, indices)
+            if count == 0:
+                assert got.shape == (0, 0)
+                continue
+            expected = grid.tokens(per_patch(histogram_token), indices)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(
+                got, view_tokens(grid, histogram_token, indices))
+        assert 0 < min(sizes) and max(sizes) == chunk

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +14,12 @@ from freqcache import (
     dft2,
     migration_gate,
     phase_correlation,
+    phase_correlation_spectra,
     sim_freq,
     sim_spatial,
 )
 
-from oracles import brute_force_displacement
+from oracles import brute_force_displacement, phase_correlation_full_spectrum
 
 
 def raw_pixels(patch):
@@ -123,6 +125,40 @@ class TestPhaseCorrelation:
             curr = np.roll(prev, shift, axis=(0, 1))
             disp = phase_correlation(prev, curr)
             assert (disp.di, disp.dj) == brute_force_displacement(prev, curr)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (33, 33), (24, 40),
+                                       (40, 27), (17, 64)])
+    def test_half_spectrum_matches_full_spectrum_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        h, w = shape
+        for _ in range(20):
+            prev = rng.random(shape)
+            shift = (int(rng.integers(-h, h)), int(rng.integers(-w, w)))
+            curr = np.roll(prev, shift, axis=(0, 1))
+            self._assert_matches_oracle(prev, curr, 1)
+
+    def test_half_spectrum_matches_oracle_on_tied_energy_frames(self):
+        # criterion 6's tie bucket: duplicated low-energy patches inside an
+        # aperiodic frame
+        rng = np.random.default_rng(600)
+        for _ in range(200):
+            curr = rng.random((32, 32))
+            dup = np.full((8, 8), 0.5)
+            dup[0, 0] = 0.52
+            blocks = curr.reshape(4, 8, 4, 8).swapaxes(1, 2)
+            for bi, bj in ((0, 1), (1, 2), (2, 0), (3, 3)):
+                blocks[bi, bj] = dup
+            shift = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+            prev = np.roll(curr, (-shift[0], -shift[1]), axis=(0, 1))
+            self._assert_matches_oracle(prev, curr, 8)
+
+    @staticmethod
+    def _assert_matches_oracle(prev, curr, patch_size):
+        spec_prev = scipy.fft.fft2(prev)
+        spec_curr = scipy.fft.fft2(curr)
+        got = phase_correlation_spectra(spec_prev, spec_curr, patch_size)
+        assert got == phase_correlation_full_spectrum(spec_prev, spec_curr,
+                                                      patch_size)
 
     def test_patch_quantization(self):
         frame = np.random.default_rng(9).random((64, 64))
