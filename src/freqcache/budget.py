@@ -4,9 +4,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DegenerateSpectrumError
+from .spectral import bin_dot
 
 
 @dataclass(frozen=True)
@@ -31,31 +31,32 @@ class EntropyReading:
     bin_count: int
 
 
-def spectral_entropy(amplitude, include_dc=True):
+def spectral_entropy(amplitude, weights=None):
     """Shannon entropy of the normalized power spectrum.
 
     Power is the squared amplitude, normalized to a distribution over all
     frequency bins; zero-power bins contribute nothing. The raw entropy is
     in nats and also reported divided by log(bin count) so the reading lands
-    in [0, 1] regardless of grid size. Set ``include_dc=False`` to drop the
-    (0, 0) bin from the distribution.
+    in [0, 1] regardless of grid size. Pass the ``rfft2`` half spectrum with
+    its :func:`~freqcache.spectral.hermitian_weights` to read the full
+    spectrum it stands for, bin count included.
     """
     a = np.asarray(amplitude, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("amplitude grid contains non-finite values")
     if np.any(a < 0.0):
         raise ValueError("amplitude grid must be nonnegative")
-    power = (a * a).ravel()
-    if power.size < 2:
+    total = bin_dot(a, a, weights)
+    bins = a.size if weights is None else a.shape[0] * int(np.sum(weights))
+    if bins < 2:
         raise ValueError("amplitude grid must have at least 2 bins")
-    if not include_dc:
-        power[0] = 0.0
-    total = float(power.sum())
     if total <= 0.0:
         raise DegenerateSpectrumError("degenerate spectrum")
-    power /= total
-    raw = float(-np.sum(xlogy(power, power))) + 0.0
-    return EntropyReading(raw, raw / math.log(power.size), power.size)
+    p = a * a
+    p /= total
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    raw = -bin_dot(p, log_p, weights) + 0.0
+    return EntropyReading(raw, raw / math.log(bins), bins)
 
 
 def reuse_budget(normalized_entropy, cfg, n_tokens):

@@ -52,15 +52,18 @@ def compare_domains(frames, cfg, *, token_fn=None, edge_labels=None,
     false_reuse = dict.fromkeys(names, 0)
     latency_total = dict.fromkeys(names, 0.0)
 
+    # Each frame is embedded and transformed once; its results serve as
+    # ``curr`` for one step and ``prev`` for the next.
+    prev_tokens = grid.tokens(token_fn)
+    prev_amps = _patch_amplitudes(grid, frames[0])
     for t in range(1, len(frames)):
-        prev, curr = frames[t - 1], frames[t]
-        decision = decide(prev, curr, cfg, step=t)
-        visual_cos = _position_cosines(
-            grid.tokens(token_fn, frame=prev), grid.tokens(token_fn, frame=curr)
-        )
-        naive_cos = _position_cosines(
-            _patch_amplitudes(grid, prev), _patch_amplitudes(grid, curr)
-        )
+        curr = frames[t]
+        decision = decide(frames[t - 1], curr, cfg, step=t)
+        curr_tokens = grid.tokens(token_fn, frame=curr)
+        curr_amps = _patch_amplitudes(grid, curr)
+        visual_cos = _position_cosines(prev_tokens, curr_tokens)
+        naive_cos = _position_cosines(prev_amps, curr_amps)
+        prev_tokens, prev_amps = curr_tokens, curr_amps
         sets = {
             "freqcache": set(decision.reuse_set),
             "visual": set(np.flatnonzero(visual_cos > tau_visual)),

@@ -30,7 +30,16 @@ class PatchGrid:
     """
 
     def __init__(self, frame, patch_size):
-        frame = validate_frame(frame)
+        self._tile(validate_frame(frame), patch_size)
+
+    @classmethod
+    def _of_valid(cls, frame, patch_size):
+        """Grid over a frame that :func:`validate_frame` already returned."""
+        grid = cls.__new__(cls)
+        grid._tile(frame, patch_size)
+        return grid
+
+    def _tile(self, frame, patch_size):
         patch_size = int(patch_size)
         if patch_size < 2:
             raise ValueError(f"patch size must be >= 2, got {patch_size}")

@@ -2,6 +2,7 @@
 select the reuse set, and maintain the token cache across steps."""
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ from .migration import (
     phase_correlation_spectra,
     sim_freq,
 )
+from .spectral import hermitian_weights
 
 
 @dataclass(frozen=True)
@@ -141,27 +143,70 @@ def topk_ascending(candidates, energies, k):
 _ANALYSIS_ERRORS = (DegenerateSpectrumError, ConstantFrameError)
 
 
+class _LastSpectrum(threading.local):
+    """The last frame ``decide`` transformed on this thread: its bits, in a
+    buffer reused while the frame shape stays, and its read-only ``rfft2``
+    half spectrum and amplitude."""
+
+    bits = None
+    spectrum = None
+    amplitude = None
+
+
+_last = _LastSpectrum()
+
+
+def _half_spectrum(frame):
+    spectrum = scipy.fft.rfft2(frame)
+    amplitude = np.abs(spectrum)
+    spectrum.flags.writeable = False
+    amplitude.flags.writeable = False
+    return spectrum, amplitude
+
+
+def _half_spectra(prev, curr):
+    """Read-only ``rfft2`` half spectra and amplitudes of both frames.
+
+    ``prev``'s are carried over from this thread's last call when ``prev``
+    holds exactly the bits that call's ``curr`` held, so a stream transforms
+    each frame once; a frame buffer rewritten in place between calls misses.
+    ``curr``'s are kept for the next call.
+    """
+    last = _last
+    if last.bits is not None and last.bits.shape == prev.shape and np.array_equal(
+        last.bits.view(np.uint64), prev.view(np.uint64)
+    ):
+        spec_prev, amp_prev = last.spectrum, last.amplitude
+    else:
+        spec_prev, amp_prev = _half_spectrum(prev)
+    spec_curr, amp_curr = _half_spectrum(curr)
+    if last.bits is None or last.bits.shape != curr.shape:
+        last.bits = np.empty(curr.shape)
+    np.copyto(last.bits, curr)
+    last.spectrum, last.amplitude = spec_curr, amp_curr
+    return spec_prev, amp_prev, spec_curr, amp_curr
+
+
 def decide(prev, curr, cfg, *, step=0):
     """Decide which patches of ``curr`` may reuse cached tokens.
 
     The migration, budget, and edge analyses are independent and join at a
-    single synchronization point before token selection. Degenerate inputs
-    (all-zero or constant frames) force a flush with a diagnostic instead of
-    raising, so a black frame cannot abort a sequence; a failed analysis
-    contributes only its defaults.
+    single synchronization point before token selection; the spectral ones
+    read ``rfft2`` half spectra (see :func:`_half_spectra`). Degenerate
+    inputs (all-zero or constant frames) force a flush with a diagnostic
+    instead of raising, so a black frame cannot abort a sequence; a failed
+    analysis contributes only its defaults.
     """
     prev = validate_frame(prev)
     curr = validate_frame(curr)
     if prev.shape != curr.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
-    grid = PatchGrid(curr, cfg.patch_size)
+    grid = PatchGrid._of_valid(curr, cfg.patch_size)
     n = grid.n_patches
 
     t0 = time.perf_counter_ns()
-    spec_prev = scipy.fft.fft2(prev)
-    spec_curr = scipy.fft.fft2(curr)
-    amp_prev = np.abs(spec_prev)
-    amp_curr = np.abs(spec_curr)
+    spec_prev, amp_prev, spec_curr, amp_curr = _half_spectra(prev, curr)
+    weights = hermitian_weights(curr.shape[1])
     timings = {"transform": (time.perf_counter_ns() - t0) // 1000}
     failure = None
 
@@ -170,11 +215,11 @@ def decide(prev, curr, cfg, *, step=0):
     align = None
     t0 = time.perf_counter_ns()
     try:
-        stage_sim = sim_freq(amp_prev, amp_curr)
+        stage_sim = sim_freq(amp_prev, amp_curr, weights)
         if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
             raise ConstantFrameError("no texture; displacement undefined")
         stage_disp = phase_correlation_spectra(spec_prev, spec_curr,
-                                               cfg.patch_size)
+                                               curr.shape, cfg.patch_size)
         align = alignment_mask(stage_disp, grid)
         sim, disp = stage_sim, stage_disp
         timings["migration"] = (time.perf_counter_ns() - t0) // 1000
@@ -185,7 +230,7 @@ def decide(prev, curr, cfg, *, step=0):
     alpha, k_reuse = 0.0, 0
     t0 = time.perf_counter_ns()
     try:
-        stage_entropy = spectral_entropy(amp_curr)
+        stage_entropy = spectral_entropy(amp_curr, weights)
         alpha, k_reuse = reuse_budget(stage_entropy.normalized, cfg.budget, n)
         entropy = stage_entropy
         timings["budget"] = (time.perf_counter_ns() - t0) // 1000
@@ -309,7 +354,7 @@ def step(cache, decision, curr, token_fn):
         raise ValueError(
             f"decision grid {rows}x{cols} does not tile frame {h}x{w}"
         )
-    grid = PatchGrid(curr, h // rows)
+    grid = PatchGrid._of_valid(curr, h // rows)
     n = grid.n_patches
 
     reuse = np.asarray(

@@ -1,5 +1,6 @@
 """Scene-transition gating, displacement recovery, and alignment masking."""
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -9,6 +10,7 @@ import scipy.fft
 
 from .errors import ConstantFrameError, DegenerateSpectrumError
 from .frame import validate_frame
+from .spectral import bin_dot
 
 # Added to the cross-power magnitude so dead bins do not divide by zero.
 CROSS_POWER_EPS = 1e-12
@@ -89,25 +91,27 @@ def _position_cosines(prev_vecs, curr_vecs):
     return out
 
 
-def sim_freq(amp_prev, amp_curr):
+def sim_freq(amp_prev, amp_curr, weights=None):
     """Cosine similarity of two amplitude spectra, flattened to vectors.
 
     Nonnegative inputs put the score in [0, 1]; cyclic translation of the
-    underlying frame leaves it unchanged.
+    underlying frame leaves it unchanged. Pass ``rfft2`` half spectra with
+    their :func:`~freqcache.spectral.hermitian_weights` to score the full
+    spectra they stand for.
     """
-    a = np.asarray(amp_prev, dtype=np.float64).ravel()
-    b = np.asarray(amp_curr, dtype=np.float64).ravel()
+    a = np.asarray(amp_prev, dtype=np.float64)
+    b = np.asarray(amp_curr, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("amplitude grids must have equal dimensions")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("amplitude grids contain non-finite values")
     if np.any(a < 0.0) or np.any(b < 0.0):
         raise ValueError("amplitude grids must be nonnegative")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    norm_a = math.sqrt(bin_dot(a, a, weights))
+    norm_b = math.sqrt(bin_dot(b, b, weights))
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateSpectrumError("degenerate spectrum")
-    return min(1.0, float(np.dot(a, b)) / (norm_a * norm_b))
+    return min(1.0, bin_dot(a, b, weights) / (norm_a * norm_b))
 
 
 def phase_correlation(prev, curr, patch_size=1):
@@ -126,24 +130,31 @@ def phase_correlation(prev, curr, patch_size=1):
     if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
         raise ConstantFrameError("no texture; displacement undefined")
     return phase_correlation_spectra(
-        scipy.fft.fft2(prev), scipy.fft.fft2(curr), patch_size
+        scipy.fft.rfft2(prev), scipy.fft.rfft2(curr), prev.shape, patch_size
     )
 
 
-def phase_correlation_spectra(spec_prev, spec_curr, patch_size=1):
-    """Phase correlation on the full ``fft2`` spectra of two real frames.
+def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
+    """Phase correlation on the ``rfft2`` half spectra of two real frames of
+    the given ``shape``.
 
-    The spectra must come from real frames: only their non-negative column
-    frequencies are read, and the rest is implied by Hermitian symmetry.
+    The cross-power spectrum is normalized and inverted with ``irfft2`` on
+    the ``W // 2 + 1`` columns of the half spectrum; Hermitian symmetry
+    implies the rest, so the response equals the full-spectrum ``ifft2``
+    one. Neither input is written to.
     """
-    shape = spec_prev.shape
-    half = shape[1] // 2 + 1
-    cross = np.conj(spec_curr[:, :half])
-    cross *= spec_prev[:, :half]
+    h, w = shape
+    if spec_prev.shape != (h, w // 2 + 1) or spec_curr.shape != spec_prev.shape:
+        raise ValueError(
+            f"half spectra {spec_prev.shape} and {spec_curr.shape} do not "
+            f"match frame shape {tuple(shape)}"
+        )
+    cross = np.conj(spec_curr)
+    cross *= spec_prev
     mag = np.abs(cross)
     mag += CROSS_POWER_EPS
     cross /= mag
-    response = scipy.fft.irfft2(cross, s=shape)
+    response = scipy.fft.irfft2(cross, s=(h, w))
     di, dj = _impulse_displacement(response)
     return Displacement.from_pixels(di, dj, patch_size)
 
@@ -163,10 +174,12 @@ def _impulse_displacement(response):
     peak_value = response.max()
     best_key = None
     best = (0, 0)
-    for pi, pj in np.argwhere(response == peak_value):
-        di = _canonical(int(-pi) % h, h)
-        dj = _canonical(int(-pj) % w, w)
-        key = (abs(di) + abs(dj), int(pi), int(pj))
+    # flatnonzero on the raveled mask is several times faster than argwhere
+    for flat in np.flatnonzero(response == peak_value).tolist():
+        pi, pj = divmod(flat, w)
+        di = _canonical(-pi % h, h)
+        dj = _canonical(-pj % w, w)
+        key = (abs(di) + abs(dj), pi, pj)
         if best_key is None or key < best_key:
             best_key = key
             best = (di, dj)

@@ -49,15 +49,6 @@ class TestSpectralEntropy:
         expected = shannon_entropy_nats(power / power.sum())
         assert spectral_entropy(amp).raw == pytest.approx(expected, abs=1e-12)
 
-    def test_dc_exclusion_flag(self):
-        amp = np.zeros((4, 4))
-        amp[0, 0] = 10.0
-        amp[1, 1] = 1.0
-        amp[2, 2] = 1.0
-        without_dc = spectral_entropy(amp, include_dc=False)
-        assert without_dc.raw == pytest.approx(math.log(2), abs=1e-12)
-        assert spectral_entropy(amp).raw < math.log(2)
-
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_permutation_invariance(self, seed):

@@ -63,3 +63,18 @@ def test_latency_consistent_with_reuse():
     for stats in report["policies"].values():
         assert stats["mean_latency_ms"] <= report["baseline_latency_ms"]
         assert stats["speedup"] >= 1.0
+
+
+def test_each_frame_is_embedded_once():
+    scene = generate_scene(
+        SceneSpec(kind="translate", height=32, width=32, length=5, seed=4,
+                  shift=(1, 2))
+    )
+    embedded = []
+
+    def spy(patches):
+        embedded.append(len(patches))
+        return patches.reshape(len(patches), -1)
+
+    compare_domains(scene.frames, CacheConfig(patch_size=8), token_fn=spy)
+    assert sum(embedded) == 5 * 16

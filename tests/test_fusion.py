@@ -1,11 +1,14 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +27,9 @@ from freqcache import (
     step,
     topk_ascending,
 )
+from freqcache import fusion
+from freqcache.bench import bench
+from freqcache.records import decision_record
 
 from oracles import assert_decision_equivalence, decide_reference
 
@@ -134,6 +140,135 @@ class TestDecide:
         d = decide(prev, curr, CacheConfig(patch_size=4))
         assert sorted(d.reuse_set + d.recompute_set) == list(range(16))
         assert d.k_final == min(d.k_reuse, d.k_candidate)
+
+
+def in_fresh_thread(fn, *args, **kwargs):
+    """Result of ``fn(*args, **kwargs)`` run on a new thread, which starts
+    with no carried-over spectrum."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # re-raised on the calling thread
+            out["error"] = exc
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def stream(frames, cfg):
+    return [decide(frames[t - 1], frames[t], cfg, step=t)
+            for t in range(1, len(frames))]
+
+
+class TestSpectrumCarryOver:
+    def test_buffer_rewritten_in_place_matches_fresh_process(self):
+        a, b, c = textured(40), textured(41), np.roll(textured(41), (3, 5), (0, 1))
+        buf = a.copy()
+        decide(textured(42), buf, CFG32)  # carries a's spectrum over
+        buf[...] = b
+        got = decide(buf, c, CFG32, step=1)
+        paths = [str(Path(freqcache.__file__).parents[1]), str(Path(__file__).parent)]
+        code = ("import json, numpy as np, test_fusion as t; "
+                "from freqcache.records import decision_record; "
+                "c = np.roll(t.textured(41), (3, 5), (0, 1)); "
+                "d = t.decide(t.textured(41), c, t.CFG32, step=1); "
+                "print(json.dumps(decision_record(d)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == json.loads(
+            json.dumps(decision_record(got)))
+
+    def test_stored_spectra_are_read_only(self):
+        def carried():
+            decide(textured(43), textured(44), CFG32)
+            return fusion._last.spectrum, fusion._last.amplitude
+
+        for kept in in_fresh_thread(carried):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 0
+
+    def test_hits_match_cold_decisions(self):
+        rng = np.random.default_rng(45)
+        frames = [rng.random((32, 32))]
+        for _ in range(5):
+            frames.append(np.roll(frames[-1], (2, -3), axis=(0, 1)))
+        cold = [in_fresh_thread(decide, frames[t - 1], frames[t], CFG32, step=t)
+                for t in range(1, len(frames))]
+        assert in_fresh_thread(stream, frames, CFG32) == cold
+
+    def test_interleaved_threads_match_running_alone(self, monkeypatch):
+        sequences = []
+        for seed, shift in ((46, (1, 2)), (47, (-3, 4))):
+            frames = [textured(seed)]
+            for _ in range(6):
+                frames.append(np.roll(frames[-1], shift, axis=(0, 1)))
+            sequences.append(frames)
+        alone = [in_fresh_thread(stream, frames, CFG32) for frames in sequences]
+
+        calls = []
+        real = scipy.fft.rfft2
+        monkeypatch.setattr(scipy.fft, "rfft2",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        turn = threading.Barrier(2, timeout=60)
+        together = [None, None]
+
+        def lockstep(k):
+            frames = sequences[k]
+            out = []
+            for t in range(1, len(frames)):
+                turn.wait()
+                if k:  # the other thread decides in between
+                    turn.wait()
+                out.append(decide(frames[t - 1], frames[t], CFG32, step=t))
+                if not k:
+                    turn.wait()
+            together[k] = out
+
+        workers = [threading.Thread(target=lockstep, args=(k,)) for k in (0, 1)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+        assert together == alone
+        # each thread still carries its own spectrum over between its steps
+        assert len(calls) == sum(len(frames) for frames in sequences)
+
+    def test_rfft2_calls(self, monkeypatch):
+        calls = []
+        real = scipy.fft.rfft2
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfft2", spy)
+        frames = [textured(48)]
+        for _ in range(4):
+            frames.append(np.roll(frames[-1], (1, 1), axis=(0, 1)))
+
+        def counted_stream():
+            per_step = []
+            for t in range(1, len(frames)):
+                before = len(calls)
+                decide(frames[t - 1], frames[t], CFG32, step=t)
+                per_step.append(len(calls) - before)
+            return per_step
+
+        assert in_fresh_thread(counted_stream) == [2, 1, 1, 1]
+        calls.clear()
+        in_fresh_thread(bench, CacheConfig(patch_size=16), 32, 32, 4, 3)
+        assert len(calls) == 2 * (4 + 3)
 
 
 class TestDecideReference:
@@ -262,6 +397,26 @@ class TestStep:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "1"
+
+
+    def test_streamed_frame_is_validated_three_times(self, monkeypatch):
+        import freqcache.frame
+
+        calls = []
+        real = freqcache.frame.validate_frame
+
+        def spy(data):
+            calls.append(1)
+            return real(data)
+
+        for module in (fusion, freqcache.frame):
+            monkeypatch.setattr(module, "validate_frame", spy)
+        prev, curr = textured(29), textured(30)
+        cache = populate_cache(prev, 8, default_token_fn)
+        calls.clear()
+        step(cache, decide(prev, curr, CFG32), curr, default_token_fn)
+        # decide checks prev and curr, step checks curr once more
+        assert len(calls) == 3
 
 
 class TestRunSequence:

@@ -154,11 +154,27 @@ class TestPhaseCorrelation:
 
     @staticmethod
     def _assert_matches_oracle(prev, curr, patch_size):
-        spec_prev = scipy.fft.fft2(prev)
-        spec_curr = scipy.fft.fft2(curr)
-        got = phase_correlation_spectra(spec_prev, spec_curr, patch_size)
-        assert got == phase_correlation_full_spectrum(spec_prev, spec_curr,
-                                                      patch_size)
+        got = phase_correlation_spectra(scipy.fft.rfft2(prev),
+                                        scipy.fft.rfft2(curr), prev.shape,
+                                        patch_size)
+        assert got == phase_correlation_full_spectrum(
+            scipy.fft.fft2(prev), scipy.fft.fft2(curr), patch_size)
+
+    def test_half_spectra_are_only_read(self):
+        prev = np.random.default_rng(10).random((16, 20))
+        curr = np.roll(prev, (3, -4), axis=(0, 1))
+        spectra = [scipy.fft.rfft2(f) for f in (prev, curr)]
+        for spec in spectra:
+            spec.flags.writeable = False
+        disp = phase_correlation_spectra(*spectra, prev.shape)
+        assert (disp.di, disp.dj) == (3, -4)
+
+    def test_half_spectrum_shape_must_match_frame(self):
+        spec = scipy.fft.rfft2(np.random.default_rng(11).random((16, 20)))
+        with pytest.raises(ValueError, match="do not match frame shape"):
+            phase_correlation_spectra(spec, spec, (16, 22))
+        with pytest.raises(ValueError, match="do not match frame shape"):
+            phase_correlation_spectra(spec, spec[:, :-1], (16, 20))
 
     def test_patch_quantization(self):
         frame = np.random.default_rng(9).random((64, 64))
