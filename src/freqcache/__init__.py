@@ -13,7 +13,6 @@ from .edge_refresh import (
     EnergyMap,
     RefreshMask,
     cutoff_index,
-    highpass_filter,
     patch_energy,
     refresh_mask,
 )
@@ -50,7 +49,6 @@ from .migration import (
     sim_spatial,
 )
 from .scenes import SCENE_KINDS, Scene, SceneSpec, generate_scene
-from .spectral import amplitude_phase, block_dct, dft2, idft2
 
 __all__ = [
     "__version__",
@@ -76,15 +74,10 @@ __all__ = [
     "StepReport",
     "TokenCache",
     "alignment_mask",
-    "amplitude_phase",
-    "block_dct",
     "cutoff_index",
     "decide",
     "default_token_fn",
-    "dft2",
     "generate_scene",
-    "highpass_filter",
-    "idft2",
     "migration_gate",
     "patch_energy",
     "per_patch",

@@ -22,22 +22,26 @@ from .fusion import CacheConfig, run_sequence
 from .records import read_decisions_jsonl, write_decisions_jsonl, write_metrics_csv
 from .scenes import SCENE_KINDS, SceneSpec, generate_scene
 
+# Each default is read from where the library states it.
+_CACHE = CacheConfig()
+_COMPARE = compare_domains.__kwdefaults__
 DEFAULTS = {
-    "patch_size": 16,
-    "tau_mig": 0.12,
-    "lambda": 0.25,
-    "alpha_min": 0.08,
-    "alpha_max": 0.5,
+    "patch_size": _CACHE.patch_size,
+    "tau_mig": _CACHE.tau_mig,
+    "lambda": _CACHE.edge_lambda,
+    "alpha_min": _CACHE.budget.alpha_min,
+    "alpha_max": _CACHE.budget.alpha_max,
     "seed": 0,
-    "tau_visual": 0.85,
-    "tau_naive_freq": 0.85,
+    "tau_visual": _COMPARE["tau_visual"],
+    "tau_naive_freq": _COMPARE["tau_naive_freq"],
 }
-
-_INT_KEYS = {"patch_size", "seed"}
 
 
 def read_config_file(path):
-    """Parse a key=value config file; '#' starts a comment."""
+    """Parse a key=value config file; '#' starts a comment.
+
+    Each value is parsed as the type of its default (int or float).
+    """
     settings = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -49,7 +53,13 @@ def read_config_file(path):
         key = key.replace("-", "_")
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        settings[key] = int(value) if key in _INT_KEYS else float(value)
+        kind = type(DEFAULTS[key])
+        try:
+            settings[key] = kind(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}"
+            ) from None
     return settings
 
 

@@ -11,21 +11,6 @@ def cutoff_index(patch_size):
     return max(1, int(patch_size) // 4)
 
 
-def highpass_filter(patch_size):
-    """Binary P x P grid that zeroes the low-frequency corner block.
-
-    Entries with both indices below the cutoff are 0, everything else 1;
-    the DC coefficient is always zeroed.
-    """
-    p = int(patch_size)
-    if p < 2:
-        raise ValueError(f"patch size must be >= 2, got {p}")
-    mask = np.ones((p, p))
-    c = cutoff_index(p)
-    mask[:c, :c] = 0.0
-    return mask
-
-
 @dataclass(frozen=True)
 class EnergyMap:
     """High-frequency energy per patch, rows x cols, all entries >= 0."""
@@ -45,6 +30,11 @@ class RefreshMask:
     sensitivity: float
 
 
+def _block_dct(blocks):
+    """Orthonormal 2-D DCT-II over the last two axes of a stack of patches."""
+    return scipy.fft.dctn(blocks, axes=(-2, -1), norm="ortho")
+
+
 def patch_energy(grid):
     """High-frequency energy of every patch in the grid.
 
@@ -52,7 +42,7 @@ def patch_energy(grid):
     inside the low-frequency corner are dropped and the rest are squared and
     summed. Constant patches score exactly 0.
     """
-    coeffs = scipy.fft.dctn(grid.blocks(), axes=(-2, -1), norm="ortho")
+    coeffs = _block_dct(grid.blocks())
     c = cutoff_index(grid.patch_size)
     coeffs[..., :c, :c] = 0.0
     energies = np.sum(coeffs * coeffs, axis=(-2, -1))

@@ -175,19 +175,6 @@ def load_frames(path, fmt="auto"):
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def export_energy_heatmap(energy_map, path):
-    """Write a per-patch energy map as an 8-bit PGM heatmap.
-
-    Values are scaled linearly so the hottest patch renders 255; an
-    all-zero map renders black.
-    """
-    energies = np.asarray(energy_map.energies, dtype=np.float64)
-    peak = float(energies.max())
-    scaled = energies / peak if peak > 0.0 else np.zeros_like(energies)
-    write_pgm(path, scaled)
-    return Path(path)
-
-
 # Pixel levels for exported decision masks.
 MASK_REUSED = 255
 MASK_EDGE_RECOMPUTE = 128

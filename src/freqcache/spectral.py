@@ -1,61 +1,7 @@
-"""2D spectral transforms: DFT, inverse DFT, and orthonormal block DCT, plus
-the Hermitian weights that let an ``rfft2`` half spectrum stand for the full
-grid."""
+"""Hermitian weights and the weighted bin sum that let an ``rfft2`` half
+spectrum stand for the full frequency grid of a real frame."""
 
 import numpy as np
-import scipy.fft
-
-from .frame import validate_frame
-
-# Max tolerated imaginary leakage when collapsing an inverse transform to a
-# real frame, relative to the largest output magnitude.
-IMAG_RESIDUE_TOL = 1e-6
-
-
-def _validate_spectrum(spec):
-    arr = np.asarray(spec, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"spectrum must be 2D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"spectrum dimensions must be >= 1, got {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError("spectrum contains non-finite values")
-    return arr
-
-
-def dft2(frame):
-    """Forward 2D DFT of a real frame, unnormalized.
-
-    The inverse carries the 1/(U*V) factor, so ``idft2(dft2(f)) == f``.
-    """
-    return scipy.fft.fft2(validate_frame(frame))
-
-
-def idft2(spectrum):
-    """Inverse 2D DFT with 1/(U*V) normalization, returned as a real frame.
-
-    The imaginary residue is discarded after checking it is negligible
-    against the largest output magnitude; spectra that are not numerically
-    conjugate-symmetric are rejected.
-    """
-    spectrum = _validate_spectrum(spectrum)
-    out = scipy.fft.ifft2(spectrum)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > IMAG_RESIDUE_TOL * float(np.max(np.abs(out))):
-        raise ValueError(
-            f"inverse transform is not real: imaginary residue {residue:g}"
-        )
-    return np.ascontiguousarray(out.real)
-
-
-def amplitude_phase(spectrum):
-    """Split a complex spectrum into amplitude and phase grids.
-
-    Phase uses the two-argument arctangent, so bins with zero amplitude get
-    phase 0 and results lie in (-pi, pi].
-    """
-    spectrum = _validate_spectrum(spectrum)
-    return np.abs(spectrum), np.angle(spectrum)
 
 
 def hermitian_weights(width):
@@ -90,19 +36,3 @@ def bin_dot(a, b, weights=None):
             f"for shape {a.shape}"
         )
     return float(np.einsum("ij,ij->j", a, b) @ weights)
-
-
-def block_dct(patch):
-    """Orthonormal 2D DCT-II of a square patch.
-
-    Orthonormal scaling preserves energy: the squared coefficients sum to
-    the squared pixels.
-    """
-    arr = np.asarray(patch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"patch must be square, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ValueError("patch must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("patch contains non-finite values")
-    return scipy.fft.dctn(arr, norm="ortho")

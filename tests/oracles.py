@@ -40,20 +40,6 @@ def naive_dft2(frame):
     return out
 
 
-def naive_idft2(spectrum):
-    """Direct double-loop inverse 2D DFT with 1/(H*W) normalization."""
-    s = np.asarray(spectrum, dtype=np.complex128)
-    h, w = s.shape
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    out = np.empty((h, w), dtype=np.complex128)
-    for x in range(h):
-        for y in range(w):
-            phase = np.exp(2j * np.pi * (x * rows / h + y * cols / w))
-            out[x, y] = np.sum(s * phase) / (h * w)
-    return out
-
-
 def naive_dct2(patch):
     """Direct double-sum orthonormal 2D DCT-II."""
     p = np.asarray(patch, dtype=np.float64)

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.stats import spearmanr
 
 from freqcache import (
@@ -16,10 +17,8 @@ from freqcache import (
     CacheConfig,
     DEFAULT_COST_MODEL,
     PatchGrid,
-    block_dct,
+    cutoff_index,
     decide,
-    dft2,
-    idft2,
     patch_energy,
     phase_correlation,
     refresh_mask,
@@ -32,14 +31,15 @@ from freqcache import (
 from freqcache.bench import bench
 from freqcache.cli import main as cli_main
 from freqcache.compare import compare_domains
+from freqcache.fusion import _half_spectrum
 from freqcache.scenes import SceneSpec, generate_scene
 
 from oracles import (
     assert_decision_equivalence,
     brute_force_displacement,
     decide_reference,
-    naive_dct2,
     naive_dft2,
+    naive_patch_energy,
 )
 
 
@@ -60,18 +60,24 @@ def criterion(num, desc, budget_s=None):
 
 
 def test_criterion_1_transform_correctness():
-    with criterion(1, "fast DFT/DCT match naive oracles within 1e-9; "
-                      "round trip < 1e-9 at 64x64", budget_s=10.0):
+    with criterion(1, "decide's rfft2 half spectrum and patch DCT energy "
+                      "match naive oracles within 1e-9; irfft2 round trip "
+                      "< 1e-9 at 64x64", budget_s=10.0):
         rng = np.random.default_rng(100)
         for _ in range(200):
             h = int(rng.integers(2, 17))
             w = int(rng.integers(2, 17))
             frame = rng.random((h, w))
-            assert np.max(np.abs(dft2(frame) - naive_dft2(frame))) < 1e-9
+            half = _half_spectrum(frame)[0]
+            expected = naive_dft2(frame)[:, :w // 2 + 1]
+            assert np.max(np.abs(half - expected)) < 1e-9
             patch = rng.standard_normal((h, h))
-            assert np.max(np.abs(block_dct(patch) - naive_dct2(patch))) < 1e-9
+            energy = patch_energy(PatchGrid(patch, h)).energies[0, 0]
+            expected_energy = naive_patch_energy(patch, cutoff_index(h))
+            assert abs(energy - expected_energy) < 1e-9
         frame = rng.random((64, 64))
-        assert np.max(np.abs(idft2(dft2(frame)) - frame)) < 1e-9
+        back = scipy.fft.irfft2(_half_spectrum(frame)[0], s=frame.shape)
+        assert np.max(np.abs(back - frame)) < 1e-9
 
 
 def test_criterion_2_fourier_shift_invariance():
@@ -85,7 +91,7 @@ def test_criterion_2_fourier_shift_invariance():
                 if shift != (0, 0):
                     break
             shifted = np.roll(frame, shift, axis=(0, 1))
-            freq = sim_freq(np.abs(dft2(frame)), np.abs(dft2(shifted)))
+            freq = sim_freq(np.abs(scipy.fft.fft2(frame)), np.abs(scipy.fft.fft2(shifted)))
             assert freq >= 1.0 - 1e-9
             grid = PatchGrid(shifted, 8)
             spatial = sim_spatial(frame, shifted, grid, lambda p: p.ravel())
@@ -134,16 +140,16 @@ def test_criterion_5_entropy_budget_behavior():
                       "alpha non-increasing on a 1000-point grid"):
         gradient = np.add.outer(np.linspace(0.15, 0.5, 64),
                                 np.linspace(0.0, 0.35, 64))
-        smooth = spectral_entropy(np.abs(dft2(gradient))).normalized
+        smooth = spectral_entropy(np.abs(scipy.fft.fft2(gradient))).normalized
         for seed in range(50):
             noise = np.random.default_rng(seed).random((64, 64))
-            noisy = spectral_entropy(np.abs(dft2(noise))).normalized
+            noisy = spectral_entropy(np.abs(scipy.fft.fft2(noise))).normalized
             assert noisy > smooth
         for seed in range(20):
             spec = SceneSpec(kind="complexity-ramp", height=64, width=64,
                              length=24, seed=seed)
             scene = generate_scene(spec)
-            readings = [spectral_entropy(np.abs(dft2(f))).normalized
+            readings = [spectral_entropy(np.abs(scipy.fft.fft2(f))).normalized
                         for f in scene.frames]
             rho = spearmanr(range(len(readings)), readings).statistic
             assert rho > 0.9

@@ -1,9 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from freqcache.cli import main, read_config_file, resolve_settings, build_parser
+from freqcache import CacheConfig
+from freqcache.cli import (
+    build_cache_config,
+    build_parser,
+    main,
+    read_config_file,
+    resolve_settings,
+)
 from freqcache.frameio import load_rawf32, read_netpbm
 from freqcache.records import read_decisions_jsonl
 
@@ -37,6 +45,24 @@ class TestConfigResolution:
         cfg.write_text("tau_mig 0.3\n")
         with pytest.raises(ValueError, match="key=value"):
             read_config_file(cfg)
+
+    @pytest.mark.parametrize("line,message", [
+        ("patch-size = 16.5", "patch_size must be int, got '16.5'"),
+        ("tau-mig = high", "tau_mig must be float, got 'high'"),
+    ])
+    def test_unparsable_value_names_file_and_line(self, tmp_path, line,
+                                                  message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# settings\nlambda = 0.5\n{line}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{cfg}:3: {message}")):
+            read_config_file(cfg)
+
+    def test_default_settings_build_the_default_config(self):
+        args = build_parser().parse_args(
+            ["analyze", "--input", "x", "--out-dir", "y"]
+        )
+        assert build_cache_config(resolve_settings(args)) == CacheConfig()
 
 
 class TestEndToEnd:

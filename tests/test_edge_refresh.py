@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,30 +10,46 @@ from freqcache import (
     EnergyMap,
     PatchGrid,
     cutoff_index,
-    highpass_filter,
     patch_energy,
     refresh_mask,
 )
 from freqcache.scenes import SceneSpec, generate_scene
 
-from oracles import naive_patch_energy, population_stats
+from oracles import naive_dct2, naive_patch_energy, population_stats
+
+
+def dropped_coefficients(p):
+    """The DCT coefficients (u, v) that ``patch_energy`` drops.
+
+    Each patch is the inverse orthonormal DCT of the single coefficient 3 at
+    (u, v); its energy is 9 if (u, v) is kept, else 0 up to the squared
+    round-off of the transform pair (about 1e-31 at P = 8).
+    """
+    dropped = set()
+    for u in range(p):
+        for v in range(p):
+            coeffs = np.zeros((p, p))
+            coeffs[u, v] = 3.0
+            patch = scipy.fft.idctn(coeffs, norm="ortho")
+            e = patch_energy(PatchGrid(patch, p)).energies[0, 0]
+            if e < 1e-24:
+                dropped.add((u, v))
+            else:
+                assert e == pytest.approx(9.0, rel=1e-12)
+    return dropped
 
 
 class TestHighpassFilter:
+    """``patch_energy`` drops exactly the low-frequency DCT corner."""
+
     def test_p8_zeroes_two_by_two_corner(self):
-        mask = highpass_filter(8)
-        zeros = {(u, v) for u in range(8) for v in range(8) if mask[u, v] == 0}
-        assert zeros == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert dropped_coefficients(8) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_p4_zeroes_dc_only(self):
-        mask = highpass_filter(4)
-        assert mask[0, 0] == 0
-        assert mask.sum() == 15
+        assert dropped_coefficients(4) == {(0, 0)}
 
     def test_p2_zeroes_dc_only(self):
-        mask = highpass_filter(2)
-        assert mask[0, 0] == 0
-        assert mask.sum() == 3
+        assert dropped_coefficients(2) == {(0, 0)}
 
     def test_cutoff_values(self):
         assert cutoff_index(8) == 2
@@ -63,9 +80,7 @@ class TestPatchEnergy:
         rng = np.random.default_rng(0)
         patch = rng.standard_normal((8, 8))
         emap = patch_energy(PatchGrid(patch, 8))
-        from freqcache import block_dct
-
-        coeffs = block_dct(patch)
+        coeffs = naive_dct2(patch)
         total = np.sum(coeffs ** 2)
         low = np.sum(coeffs[:2, :2] ** 2)
         assert emap.energies[0, 0] == pytest.approx(total - low, abs=1e-9)

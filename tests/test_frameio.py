@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from freqcache import FrameParseError, PatchGrid, patch_energy
+from freqcache import FrameParseError
 from freqcache.frameio import (
-    export_energy_heatmap,
     export_masks,
     load_frames,
     load_rawf32,
@@ -167,24 +166,3 @@ class TestExportMasks:
         decisions = [decision_record(d) for d in self._decisions()]
         paths = export_masks(decisions, tmp_path)
         assert len(paths) == len(decisions)
-
-
-class TestEnergyHeatmap:
-    def test_hottest_patch_renders_white(self, tmp_path):
-        scene = generate_scene(
-            SceneSpec(kind="edge-inject", height=32, width=32, length=3,
-                      seed=6, edge_count=1, patch_size=8)
-        )
-        emap = patch_energy(PatchGrid(scene.frames[-1], 8))
-        path = export_energy_heatmap(emap, tmp_path / "heat.pgm")
-        img = read_netpbm(path)
-        assert img.max() == 1.0
-        hot = int(np.argmax(img.ravel()))
-        assert hot == int(np.argmax(emap.energies.ravel()))
-
-    def test_zero_energy_renders_black(self, tmp_path):
-        from freqcache import EnergyMap
-
-        emap = EnergyMap(np.zeros((2, 2)), 8, 2)
-        path = export_energy_heatmap(emap, tmp_path / "flat.pgm")
-        assert np.all(read_netpbm(path) == 0.0)

@@ -11,7 +11,6 @@ from freqcache import (
     GateAction,
     PatchGrid,
     alignment_mask,
-    dft2,
     migration_gate,
     phase_correlation,
     phase_correlation_spectra,
@@ -27,7 +26,7 @@ def raw_pixels(patch):
 
 
 def amplitude_of(frame):
-    return np.abs(dft2(frame))
+    return np.abs(scipy.fft.fft2(frame))
 
 
 class TestSimSpatial:
@@ -71,7 +70,7 @@ class TestSimSpatial:
 
 class TestSimFreq:
     def test_identical_spectra(self):
-        amp = np.abs(dft2(np.random.default_rng(3).random((16, 16))))
+        amp = amplitude_of(np.random.default_rng(3).random((16, 16)))
         assert sim_freq(amp, amp) == pytest.approx(1.0, abs=1e-12)
 
     def test_cyclic_shift_invariance(self):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.stats import spearmanr
 
-from freqcache import dft2, phase_correlation, sim_freq, spectral_entropy
+from freqcache import phase_correlation, sim_freq, spectral_entropy
 from freqcache.scenes import SceneSpec, generate_scene
 
 
@@ -37,7 +38,8 @@ def test_translate_shift_is_recoverable_every_step():
 def test_static_scene_has_unit_similarity():
     scene = generate_scene(SceneSpec(kind="static", length=4, seed=5))
     for prev, curr in zip(scene.frames, scene.frames[1:]):
-        similarity = sim_freq(np.abs(dft2(prev)), np.abs(dft2(curr)))
+        similarity = sim_freq(np.abs(scipy.fft.fft2(prev)),
+                              np.abs(scipy.fft.fft2(curr)))
         assert similarity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -45,7 +47,7 @@ def test_complexity_ramp_entropy_rises():
     spec = SceneSpec(kind="complexity-ramp", height=64, width=64, length=20,
                      seed=7)
     scene = generate_scene(spec)
-    entropies = [spectral_entropy(np.abs(dft2(f))).normalized
+    entropies = [spectral_entropy(np.abs(scipy.fft.fft2(f))).normalized
                  for f in scene.frames]
     rho = spearmanr(range(len(entropies)), entropies).statistic
     assert rho > 0.9
