@@ -3,13 +3,16 @@
 Settings resolve in three layers: built-in defaults, then a key=value
 config file (``--config``), then explicit flags. Every run writes a
 manifest JSON next to its outputs recording the resolved settings, inputs,
-outputs, and wall-clock time.
+outputs, and wall-clock time. A rejected setting or input exits with status
+2 and one ``freqcache: error:`` line on stderr, which starts with
+``path:line:`` when the value came from the config file.
 """
 
 import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from . import __version__
 from .bench import bench
 from .budget import BudgetConfig
 from .compare import compare_domains
+from .frame import PatchGrid
 from .frameio import export_masks, load_frames, save_rawf32
 from .fusion import CacheConfig, run_sequence
 from .records import read_decisions_jsonl, write_decisions_jsonl, write_metrics_csv
@@ -37,12 +41,34 @@ DEFAULTS = {
 }
 
 
+class Settings(dict):
+    """Setting values by key; ``origin`` maps each key whose value came from
+    a config file to its ``path:line``."""
+
+    def __init__(self, values=()):
+        super().__init__(values)
+        self.origin = {}
+
+    @contextmanager
+    def blame(self, *keys):
+        """Prefix a ValueError raised in the block with the ``path:line`` of
+        the first of ``keys`` whose value came from a config file."""
+        try:
+            yield
+        except ValueError as exc:
+            where = next((self.origin[k] for k in keys if k in self.origin), None)
+            if where is None:
+                raise
+            raise ValueError(f"{where}: {exc}") from None
+
+
 def read_config_file(path):
-    """Parse a key=value config file; '#' starts a comment.
+    """Parse a key=value config file into :class:`Settings`; '#' starts a
+    comment.
 
     Each value is parsed as the type of its default (int or float).
     """
-    settings = {}
+    settings = Settings()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -60,29 +86,51 @@ def read_config_file(path):
             raise ValueError(
                 f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}"
             ) from None
+        settings.origin[key] = f"{path}:{lineno}"
     return settings
 
 
 def resolve_settings(args):
     """Defaults, overridden by the config file, overridden by flags."""
-    settings = dict(DEFAULTS)
+    settings = Settings(DEFAULTS)
     if getattr(args, "config", None):
-        settings.update(read_config_file(args.config))
+        from_file = read_config_file(args.config)
+        settings.update(from_file)
+        settings.origin.update(from_file.origin)
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+            settings.origin.pop(key, None)
     return settings
 
 
 def build_cache_config(settings):
-    return CacheConfig(
-        tau_mig=settings["tau_mig"],
-        edge_lambda=settings["lambda"],
-        budget=BudgetConfig(alpha_min=settings["alpha_min"],
-                            alpha_max=settings["alpha_max"]),
-        patch_size=settings["patch_size"],
-    )
+    """The :class:`CacheConfig` of resolved :class:`Settings`; a value it
+    rejects is reported with the config-file line that set it."""
+    with settings.blame("alpha_min", "alpha_max"):
+        budget = BudgetConfig(alpha_min=settings["alpha_min"],
+                              alpha_max=settings["alpha_max"])
+    fields = {"tau_mig": "tau_mig", "edge_lambda": "lambda",
+              "patch_size": "patch_size"}
+    # CacheConfig checks each field alone, so trying one field at a time
+    # finds the setting to blame.
+    for name, key in fields.items():
+        with settings.blame(key):
+            CacheConfig(**{name: settings[key]})
+    return CacheConfig(budget=budget,
+                       **{name: settings[key] for name, key in fields.items()})
+
+
+def _load_input(args, settings):
+    """The frames of ``--input``, checked to tile by the patch size."""
+    try:
+        frames = load_frames(args.input, args.format)
+    except OSError as exc:
+        raise ValueError(f"--input {args.input}: {exc.strerror}") from None
+    with settings.blame("patch_size"):
+        PatchGrid(frames[0], settings["patch_size"])
+    return frames
 
 
 def write_manifest(path, command, settings, inputs, outputs, t0):
@@ -166,7 +214,7 @@ def cmd_analyze(args):
     t0 = time.time()
     settings = resolve_settings(args)
     cfg = build_cache_config(settings)
-    frames = load_frames(args.input, args.format)
+    frames = _load_input(args, settings)
     report = run_sequence(frames, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,7 +249,7 @@ def cmd_compare(args):
     settings = resolve_settings(args)
     cfg = build_cache_config(settings)
     if args.input:
-        frames = load_frames(args.input, args.format)
+        frames = _load_input(args, settings)
         labels = None
         source = args.input
     else:
@@ -296,8 +344,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

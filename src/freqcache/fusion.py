@@ -5,13 +5,14 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
 from .budget import BudgetConfig, EntropyReading, reuse_budget, spectral_entropy
 from .edge_refresh import patch_energy, refresh_mask
-from .errors import ConstantFrameError, DegenerateSpectrumError, InvariantError
+from .errors import InvariantError
 from .frame import PatchGrid, validate_frame
 from .migration import (
     Displacement,
@@ -21,7 +22,7 @@ from .migration import (
     phase_correlation_spectra,
     sim_freq,
 )
-from .spectral import hermitian_weights
+from .spectral import bin_dot, hermitian_weights
 
 
 @dataclass(frozen=True)
@@ -140,20 +141,15 @@ def topk_ascending(candidates, energies, k):
     return tuple(cand[order[: min(int(k), cand.size)]].tolist())
 
 
-_ANALYSIS_ERRORS = (DegenerateSpectrumError, ConstantFrameError)
+class _Analysis(NamedTuple):
+    """What ``decide`` reads of one validated frame: its read-only ``rfft2``
+    half spectrum and amplitude, the power of its full spectrum, and whether
+    it is constant."""
 
-
-class _LastSpectrum(threading.local):
-    """The last frame ``decide`` transformed on this thread: its bits, in a
-    buffer reused while the frame shape stays, and its read-only ``rfft2``
-    half spectrum and amplitude."""
-
-    bits = None
-    spectrum = None
-    amplitude = None
-
-
-_last = _LastSpectrum()
+    spectrum: np.ndarray
+    amplitude: np.ndarray
+    power: float
+    constant: bool
 
 
 def _half_spectrum(frame):
@@ -161,30 +157,30 @@ def _half_spectrum(frame):
     amplitude = np.abs(spectrum)
     spectrum.flags.writeable = False
     amplitude.flags.writeable = False
-    return spectrum, amplitude
+    weights = hermitian_weights(frame.shape[1])
+    return _Analysis(spectrum, amplitude, bin_dot(amplitude, amplitude, weights),
+                     bool(np.ptp(frame) == 0.0))
 
 
-def _half_spectra(prev, curr):
-    """Read-only ``rfft2`` half spectra and amplitudes of both frames.
+class _LastFrame(threading.local):
+    """The last ``curr`` that ``decide`` analysed on this thread: its bits,
+    in a buffer reused while the frame shape stays, and its analysis."""
 
-    ``prev``'s are carried over from this thread's last call when ``prev``
-    holds exactly the bits that call's ``curr`` held, so a stream transforms
-    each frame once; a frame buffer rewritten in place between calls misses.
-    ``curr``'s are kept for the next call.
-    """
-    last = _last
-    if last.bits is not None and last.bits.shape == prev.shape and np.array_equal(
-        last.bits.view(np.uint64), prev.view(np.uint64)
-    ):
-        spec_prev, amp_prev = last.spectrum, last.amplitude
-    else:
-        spec_prev, amp_prev = _half_spectrum(prev)
-    spec_curr, amp_curr = _half_spectrum(curr)
-    if last.bits is None or last.bits.shape != curr.shape:
-        last.bits = np.empty(curr.shape)
-    np.copyto(last.bits, curr)
-    last.spectrum, last.amplitude = spec_curr, amp_curr
-    return spec_prev, amp_prev, spec_curr, amp_curr
+    bits = None
+    analysis = None
+
+
+_last = _LastFrame()
+
+
+def _carried(frame):
+    """This thread's last analysis if ``frame`` holds exactly its bits."""
+    bits = _last.bits
+    if (bits is not None and isinstance(frame, np.ndarray)
+            and frame.dtype == bits.dtype and frame.shape == bits.shape
+            and np.array_equal(bits.view(np.uint64), frame.view(np.uint64))):
+        return _last.analysis
+    return None
 
 
 def decide(prev, curr, cfg, *, step=0):
@@ -192,12 +188,18 @@ def decide(prev, curr, cfg, *, step=0):
 
     The migration, budget, and edge analyses are independent and join at a
     single synchronization point before token selection; the spectral ones
-    read ``rfft2`` half spectra (see :func:`_half_spectra`). Degenerate
-    inputs (all-zero or constant frames) force a flush with a diagnostic
-    instead of raising, so a black frame cannot abort a sequence; a failed
-    analysis contributes only its defaults.
+    read ``rfft2`` half spectra. Each frame is analysed once per stream:
+    ``curr``'s analysis is kept, with a copy of its bits, for this thread's
+    next call, and a ``prev`` holding exactly those bits reuses it without
+    being validated or scanned again (a frame buffer rewritten in place
+    misses). Degenerate inputs (a frame whose spectrum has no power, or a
+    constant frame) force a flush with a diagnostic instead of raising, so a
+    black frame cannot abort a sequence; the analyses they make undefined
+    keep their defaults.
     """
-    prev = validate_frame(prev)
+    a_prev = _carried(prev)
+    if a_prev is None:
+        prev = validate_frame(prev)
     curr = validate_frame(curr)
     if prev.shape != curr.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
@@ -205,37 +207,41 @@ def decide(prev, curr, cfg, *, step=0):
     n = grid.n_patches
 
     t0 = time.perf_counter_ns()
-    spec_prev, amp_prev, spec_curr, amp_curr = _half_spectra(prev, curr)
+    if a_prev is None:
+        a_prev = _half_spectrum(prev)
+    a_curr = _half_spectrum(curr)
+    if _last.bits is None or _last.bits.shape != curr.shape:
+        _last.bits = np.empty(curr.shape)
+    np.copyto(_last.bits, curr)
+    _last.analysis = a_curr
     weights = hermitian_weights(curr.shape[1])
     timings = {"transform": (time.perf_counter_ns() - t0) // 1000}
-    failure = None
+
+    if a_prev.power == 0.0 or a_curr.power == 0.0:
+        diagnostic = "degenerate spectrum"
+    elif a_prev.constant or a_curr.constant:
+        diagnostic = "no texture; displacement undefined"
+    else:
+        diagnostic = None
 
     sim = 0.0
     disp = Displacement(0, 0, 0, 0)
     align = None
-    t0 = time.perf_counter_ns()
-    try:
-        stage_sim = sim_freq(amp_prev, amp_curr, weights)
-        if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
-            raise ConstantFrameError("no texture; displacement undefined")
-        stage_disp = phase_correlation_spectra(spec_prev, spec_curr,
-                                               curr.shape, cfg.patch_size)
-        align = alignment_mask(stage_disp, grid)
-        sim, disp = stage_sim, stage_disp
+    if diagnostic is None:
+        t0 = time.perf_counter_ns()
+        sim = sim_freq(a_prev.amplitude, a_curr.amplitude, weights)
+        disp = phase_correlation_spectra(a_prev.spectrum, a_curr.spectrum,
+                                         curr.shape, cfg.patch_size)
+        align = alignment_mask(disp, grid)
         timings["migration"] = (time.perf_counter_ns() - t0) // 1000
-    except _ANALYSIS_ERRORS as exc:
-        failure = exc
 
     entropy = EntropyReading(0.0, 0.0, prev.size)
     alpha, k_reuse = 0.0, 0
-    t0 = time.perf_counter_ns()
-    try:
-        stage_entropy = spectral_entropy(amp_curr, weights)
-        alpha, k_reuse = reuse_budget(stage_entropy.normalized, cfg.budget, n)
-        entropy = stage_entropy
+    if a_curr.power > 0.0:
+        t0 = time.perf_counter_ns()
+        entropy = spectral_entropy(a_curr.amplitude, weights)
+        alpha, k_reuse = reuse_budget(entropy.normalized, cfg.budget, n)
         timings["budget"] = (time.perf_counter_ns() - t0) // 1000
-    except _ANALYSIS_ERRORS as exc:
-        failure = failure or exc
 
     t0 = time.perf_counter_ns()
     energy = patch_energy(grid)
@@ -245,8 +251,7 @@ def decide(prev, curr, cfg, *, step=0):
 
     # Synchronization point: all three analyses have completed.
     t_sel = time.perf_counter_ns()
-    diagnostic = None if failure is None else str(failure)
-    flushed = (failure is not None
+    flushed = (diagnostic is not None
                or migration_gate(sim, cfg.tau_mig) is GateAction.FLUSH)
     k_candidate, k_final, reuse = 0, 0, ()
     if not flushed:
@@ -313,14 +318,6 @@ class TokenCache:
 
     tokens: np.ndarray  # (rows, cols, dim)
     ages: np.ndarray    # (rows, cols) int
-
-    @property
-    def rows(self):
-        return self.tokens.shape[0]
-
-    @property
-    def cols(self):
-        return self.tokens.shape[1]
 
 
 @dataclass(frozen=True)

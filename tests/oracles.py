@@ -18,12 +18,15 @@ from freqcache.budget import EntropyReading
 from freqcache.edge_refresh import cutoff_index
 from freqcache.errors import ConstantFrameError, DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
-from freqcache.fusion import _ANALYSIS_ERRORS, CacheDecision, _check_decision
+from freqcache.fusion import CacheDecision, _check_decision
 from freqcache.migration import (
     CROSS_POWER_EPS,
     Displacement,
     _impulse_displacement,
 )
+
+# The analysis failures decide_reference turns into a flushed decision.
+_ANALYSIS_ERRORS = (DegenerateSpectrumError, ConstantFrameError)
 
 
 def naive_dft2(frame):

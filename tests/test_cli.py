@@ -65,6 +65,42 @@ class TestConfigResolution:
         assert build_cache_config(resolve_settings(args)) == CacheConfig()
 
 
+class TestUsageErrors:
+    """A rejected setting or input exits with status 2 and one stderr line."""
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ("tau-mig = 1.5", (), "{cfg}:3: tau_mig must lie in [0, 1], got 1.5"),
+        ("", ("--patch-size", 7),
+         "patch size 7 does not divide frame dimensions 64x64"),
+        ("patch-size = 7", (),
+         "{cfg}:3: patch size 7 does not divide frame dimensions 64x64"),
+        ("", ("--alpha-min", 0.9, "--alpha-max", 0.1),
+         "need 0 <= alpha_min <= alpha_max <= 1, got (0.9, 0.1)"),
+    ])
+    def test_rejected_setting_prints_one_line(self, tmp_path, capsys, config,
+                                              flags, message):
+        raw = tmp_path / "scene.fqc"
+        run_cli("synth", "--height", 64, "--width", 64, "--length", 3,
+                "--out", raw)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\nlambda = 0.5\n{config}\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("analyze", "--input", raw, "--out-dir", tmp_path / "out",
+                    "--config", cfg, *flags)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"freqcache: error: {message.format(cfg=cfg)}\n"
+
+    def test_missing_input_prints_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.fqc"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("analyze", "--input", missing, "--out-dir", tmp_path / "out")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: --input {missing}: No such file or directory\n")
+
+
 class TestEndToEnd:
     def test_synth_analyze_masks_compare(self, tmp_path):
         raw = tmp_path / "scene.fqc"

@@ -19,6 +19,7 @@ from freqcache import (
     CostModel,
     DEFAULT_COST_MODEL,
     Displacement,
+    EntropyReading,
     InvariantError,
     decide,
     default_token_fn,
@@ -121,6 +122,17 @@ class TestDecide:
         assert d2.diagnostic == "no texture; displacement undefined"
         # a failed migration analysis leaves the budget reading intact
         assert d2.k_reuse > 0 and d2.k_final == 0
+        d3 = decide(frame, np.zeros((32, 32)), CFG32)
+        assert d3.flushed and d3.diagnostic == "degenerate spectrum"
+        assert d3.entropy == EntropyReading(0.0, 0.0, 1024) and d3.k_reuse == 0
+        # every squared amplitude underflows, so the power is exactly 0
+        d4 = decide(frame, frame * 1e-170, CFG32)
+        assert d4.flushed and d4.diagnostic == "degenerate spectrum"
+        # the constant frame comes back as the carried-over prev
+        for d in stream([frame, np.full((32, 32), 0.5), frame], CFG32):
+            assert d.flushed
+            assert d.diagnostic == "no texture; displacement undefined"
+            assert d.k_reuse > 0
 
     def test_determinism(self):
         prev, curr = textured(9), textured(10)
@@ -190,7 +202,7 @@ class TestSpectrumCarryOver:
     def test_stored_spectra_are_read_only(self):
         def carried():
             decide(textured(43), textured(44), CFG32)
-            return fusion._last.spectrum, fusion._last.amplitude
+            return fusion._last.analysis.spectrum, fusion._last.analysis.amplitude
 
         for kept in in_fresh_thread(carried):
             assert not kept.flags.writeable
@@ -414,9 +426,14 @@ class TestStep:
         prev, curr = textured(29), textured(30)
         cache = populate_cache(prev, 8, default_token_fn)
         calls.clear()
-        step(cache, decide(prev, curr, CFG32), curr, default_token_fn)
+        cache, _ = step(cache, decide(prev, curr, CFG32), curr, default_token_fn)
         # decide checks prev and curr, step checks curr once more
         assert len(calls) == 3
+        calls.clear()
+        nxt = np.roll(curr, (8, 0), axis=(0, 1))
+        step(cache, decide(curr, nxt, CFG32, step=2), nxt, default_token_fn)
+        # the carried-over prev is not checked again
+        assert len(calls) == 2
 
 
 class TestRunSequence:
