@@ -114,10 +114,14 @@ def build_cache_config(settings):
     fields = {"tau_mig": "tau_mig", "edge_lambda": "lambda",
               "patch_size": "patch_size"}
     # CacheConfig checks each field alone, so trying one field at a time
-    # finds the setting to blame.
+    # finds the setting to blame; its message names the field, so it is
+    # reworded to name the setting.
     for name, key in fields.items():
         with settings.blame(key):
-            CacheConfig(**{name: settings[key]})
+            try:
+                CacheConfig(**{name: settings[key]})
+            except ValueError as exc:
+                raise ValueError(str(exc).replace(name, key, 1)) from None
     return CacheConfig(budget=budget,
                        **{name: settings[key] for name, key in fields.items()})
 

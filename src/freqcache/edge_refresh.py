@@ -1,9 +1,10 @@
 """Per-patch high-frequency energy and the statistical refresh mask."""
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 
 def cutoff_index(patch_size):
@@ -30,23 +31,48 @@ class RefreshMask:
     sensitivity: float
 
 
-def _block_dct(blocks):
-    """Orthonormal 2-D DCT-II over the last two axes of a stack of patches."""
-    return scipy.fft.dctn(blocks, axes=(-2, -1), norm="ortho")
+@functools.cache
+def _dct_rows(p, c):
+    """The first ``c`` rows of the orthonormal P-point DCT-II matrix,
+    ``C[k, n] = s_k cos(pi (2n + 1) k / 2P)`` with ``s_0 = sqrt(1/P)`` and
+    ``s_k = sqrt(2/P)``; read-only, one per ``(p, c)``."""
+    k = np.arange(c)[:, None]
+    n = np.arange(p)[None, :]
+    rows = math.sqrt(2.0 / p) * np.cos(np.pi * (2 * n + 1) * k / (2 * p))
+    rows[0] = math.sqrt(1.0 / p)
+    rows.flags.writeable = False
+    return rows
 
 
 def patch_energy(grid):
     """High-frequency energy of every patch in the grid.
 
-    Each patch is transformed with the orthonormal block DCT; coefficients
-    inside the low-frequency corner are dropped and the rest are squared and
-    summed. Constant patches score exactly 0.
+    The energy of a patch B is the sum of its squared orthonormal DCT-II
+    coefficients outside the low-frequency c x c corner. Since the DCT is
+    orthonormal, that is the squared norm of the residual B - L, where
+    L = C^T (C B C^T) C is B projected onto the corner and C holds the first
+    c rows of the DCT matrix; only those c rows are ever applied. Constant
+    patches score exactly 0.
     """
-    coeffs = _block_dct(grid.blocks())
-    c = cutoff_index(grid.patch_size)
-    coeffs[..., :c, :c] = 0.0
-    energies = np.sum(coeffs * coeffs, axis=(-2, -1))
-    return EnergyMap(energies, grid.patch_size, c)
+    p = grid.patch_size
+    c = cutoff_index(p)
+    rows, cols = grid.rows, grid.cols
+    dct = _dct_rows(p, c)
+    x = grid.frame.reshape(rows, p, cols * p)
+    # C B C^T of every patch, laid out (rows, c, cols, c): the row transform
+    # runs per row of patches, the column transforms as 2-D GEMMs over all
+    # patches at once.
+    corner = np.matmul(dct, x).reshape(-1, p) @ dct.T
+    residual = np.matmul(dct.T, (corner @ dct).reshape(rows, c, -1))
+    np.subtract(x, residual, out=residual)
+    r = residual.reshape(rows, p, cols, p)
+    energies = np.einsum("rpqs,rpqs->rq", r, r)
+    # Round-off leaves ~1e-30 on a flat patch; pin it to 0, so a flat frame
+    # has no spread for refresh_mask to flag.
+    hi = x.max(axis=1).reshape(rows, cols, p).max(axis=2)
+    lo = x.min(axis=1).reshape(rows, cols, p).min(axis=2)
+    energies[hi == lo] = 0.0
+    return EnergyMap(energies, p, c)
 
 
 def refresh_mask(energy, sensitivity):

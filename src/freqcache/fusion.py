@@ -63,7 +63,8 @@ class CacheConfig:
         if not 0.0 <= self.tau_mig <= 1.0:
             raise ValueError(f"tau_mig must lie in [0, 1], got {self.tau_mig}")
         if not math.isfinite(self.edge_lambda):
-            raise ValueError("edge_lambda must be finite")
+            raise ValueError(
+                f"edge_lambda must be finite, got {self.edge_lambda}")
         if self.patch_size < 2:
             raise ValueError(f"patch_size must be >= 2, got {self.patch_size}")
 

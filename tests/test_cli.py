@@ -76,6 +76,8 @@ class TestUsageErrors:
          "{cfg}:3: patch size 7 does not divide frame dimensions 64x64"),
         ("", ("--alpha-min", 0.9, "--alpha-max", 0.1),
          "need 0 <= alpha_min <= alpha_max <= 1, got (0.9, 0.1)"),
+        ("", ("--lambda", "inf"), "lambda must be finite, got inf"),
+        ("lambda = inf", (), "{cfg}:3: lambda must be finite, got inf"),
     ])
     def test_rejected_setting_prints_one_line(self, tmp_path, capsys, config,
                                               flags, message):

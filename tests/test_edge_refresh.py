@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqcache import (
+    CacheConfig,
     EnergyMap,
     PatchGrid,
     cutoff_index,
+    decide,
     patch_energy,
     refresh_mask,
 )
@@ -62,7 +64,29 @@ class TestPatchEnergy:
     def test_constant_patch_scores_zero(self):
         grid = PatchGrid(np.full((8, 8), 3.7), 8)
         emap = patch_energy(grid)
-        assert emap.energies[0, 0] == pytest.approx(0.0, abs=1e-18)
+        assert emap.energies[0, 0] == 0.0
+
+    def test_flat_frames_refresh_nothing(self):
+        # Round-off leaves ~1e-30 on a flat patch, more on brighter ones:
+        # unless it is pinned to 0, a frame of flat patches at several grey
+        # levels has an energy spread for refresh_mask to flag.
+        rng = np.random.default_rng(12)
+        levels = rng.choice([0.123, 0.37, 0.5, 0.9], size=(8, 12))
+        for frame in (np.full((64, 96), 0.37),
+                      np.kron(levels, np.ones((8, 8)))):
+            decision = decide(rng.random((64, 96)), frame,
+                              CacheConfig(patch_size=8))
+            assert decision.refresh_set == ()
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 16, 32])
+    def test_identical_patches_score_bit_identical(self, p):
+        rng = np.random.default_rng(p)
+        patch = rng.random((p, p))
+        for rows, cols in ((24, 40), (40, 24), (9, 9), (1, 7), (5, 1)):
+            frame = np.tile(patch, (rows, cols))
+            energies = patch_energy(PatchGrid(frame, p)).energies
+            assert energies.shape == (rows, cols)
+            assert len(np.unique(energies)) == 1
 
     def test_step_edge_beats_smooth_ramp(self):
         step = np.zeros((8, 8))
@@ -104,6 +128,18 @@ class TestPatchEnergy:
             for j in range(2):
                 expected = naive_patch_energy(grid.patch(i, j), emap.cutoff)
                 assert emap.energies[i, j] == pytest.approx(expected, abs=1e-9)
+
+    @given(seed=st.integers(0, 2**31 - 1), p=st.sampled_from([2, 3, 4, 5, 8]),
+           rows=st.integers(1, 3), cols=st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_naive_oracle_property(self, seed, p, rows, cols):
+        frame = np.random.default_rng(seed).standard_normal((rows * p, cols * p))
+        grid = PatchGrid(frame, p)
+        emap = patch_energy(grid)
+        for i in range(rows):
+            for j in range(cols):
+                expected = naive_patch_energy(grid.patch(i, j), cutoff_index(p))
+                assert abs(emap.energies[i, j] - expected) < 1e-9
 
 
 class TestRefreshMask:

@@ -1,7 +1,8 @@
 """The two transforms ``decide`` runs, against naive oracles: the ``rfft2``
 half spectrum of a frame (``fusion._half_spectrum``, inverted with
-``irfft2`` as ``phase_correlation_spectra`` does) and the per-patch block
-DCT (``edge_refresh._block_dct``) behind ``patch_energy``."""
+``irfft2`` as ``phase_correlation_spectra`` does) and the rows of the
+orthonormal DCT-II matrix (``edge_refresh._dct_rows``) that ``patch_energy``
+projects every patch onto."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqcache import CacheConfig, PatchGrid, cutoff_index, decide, patch_energy
-from freqcache.edge_refresh import _block_dct
+from freqcache.edge_refresh import _dct_rows
 from freqcache.fusion import _half_spectrum
 
 from oracles import naive_dct2, naive_dft2, naive_patch_energy
@@ -75,27 +76,38 @@ def test_amplitude_conjugate_symmetry_for_real_frames():
 
 
 def test_block_dct_constant_patch():
-    coeffs = _block_dct(np.full((8, 8), 2.5))
+    # A constant patch projects onto row 0 only, with coefficient P * value.
+    dct = _dct_rows(8, 8)
+    coeffs = dct @ np.full((8, 8), 2.5) @ dct.T
     assert coeffs[0, 0] == pytest.approx(8 * 2.5, abs=1e-12)
     coeffs[0, 0] = 0.0
     assert np.max(np.abs(coeffs)) < 1e-12
 
 
 def test_block_dct_matches_naive_oracle():
-    patch = np.random.default_rng(4).random((8, 8))
-    assert np.max(np.abs(_block_dct(patch) - naive_dct2(patch))) < 1e-9
-    # A stack of patches is transformed patch by patch.
-    blocks = PatchGrid(np.random.default_rng(7).random((16, 24)), 8).blocks()
-    coeffs = _block_dct(blocks)
-    for i in range(blocks.shape[0]):
-        for j in range(blocks.shape[1]):
-            assert np.max(np.abs(coeffs[i, j] - naive_dct2(blocks[i, j]))) < 1e-9
+    # The naive DCT of a unit impulse at pixel (x, y) is the outer product
+    # of basis columns x and y; impulses on the anti-diagonal use every
+    # column in both places. The cutoff's rows are the leading ones.
+    for n in (2, 3, 8, 16):
+        full = _dct_rows(n, n)
+        for x in range(n):
+            y = n - 1 - x
+            impulse = np.zeros((n, n))
+            impulse[x, y] = 1.0
+            basis = np.outer(full[:, x], full[:, y])
+            assert np.max(np.abs(basis - naive_dct2(impulse))) < 1e-12
+        c = cutoff_index(n)
+        assert np.array_equal(_dct_rows(n, c), full[:c])
 
 
 def test_block_dct_parseval():
-    patch = np.random.default_rng(5).standard_normal((8, 8))
-    coeffs = _block_dct(patch)
-    assert np.sum(coeffs ** 2) == pytest.approx(np.sum(patch ** 2), abs=1e-9)
+    rng = np.random.default_rng(5)
+    for n in SIZES:
+        dct = _dct_rows(n, n)
+        assert np.max(np.abs(dct @ dct.T - np.eye(n))) < 1e-12
+        patch = rng.standard_normal((n, n))
+        coeffs = dct @ patch @ dct.T
+        assert np.sum(coeffs ** 2) == pytest.approx(np.sum(patch ** 2), abs=1e-9)
 
 
 @given(seed=st.integers(0, 2**31 - 1), h=st.sampled_from(SIZES),
