@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .spectral import bin_dot
+from .spectral import bin_dot, scratch
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,9 @@ def spectral_entropy(amplitude, weights=None):
     in nats and also reported divided by log(bin count) so the reading lands
     in [0, 1] regardless of grid size. Pass the ``rfft2`` half spectrum with
     its :func:`~freqcache.spectral.hermitian_weights` to read the full
-    spectrum it stands for, bin count included.
+    spectrum it stands for, bin count included. The distribution and its
+    logarithm are written to this thread's
+    :func:`~freqcache.spectral.scratch` region.
     """
     a = np.asarray(amplitude, dtype=np.float64)
     if not np.all(np.isfinite(a)):
@@ -52,9 +54,11 @@ def spectral_entropy(amplitude, weights=None):
         raise ValueError("amplitude grid must have at least 2 bins")
     if total <= 0.0:
         raise DegenerateSpectrumError("degenerate spectrum")
-    p = a * a
+    p, log_p = scratch(a.shape, np.float64, np.float64)
+    np.multiply(a, a, out=p)
     p /= total
-    log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    log_p.fill(0.0)
+    np.log(p, out=log_p, where=p > 0.0)
     raw = -bin_dot(p, log_p, weights) + 0.0
     return EntropyReading(raw, raw / math.log(bins), bins)
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import scratch
+
 
 def cutoff_index(patch_size):
     """Low-frequency cutoff for a P x P coefficient grid: max(1, P // 4)."""
@@ -52,7 +54,8 @@ def patch_energy(grid):
     orthonormal, that is the squared norm of the residual B - L, where
     L = C^T (C B C^T) C is B projected onto the corner and C holds the first
     c rows of the DCT matrix; only those c rows are ever applied. Constant
-    patches score exactly 0.
+    patches score exactly 0. The frame-sized residual is written to this
+    thread's :func:`~freqcache.spectral.scratch` region.
     """
     p = grid.patch_size
     c = cutoff_index(p)
@@ -63,7 +66,8 @@ def patch_energy(grid):
     # runs per row of patches, the column transforms as 2-D GEMMs over all
     # patches at once.
     corner = np.matmul(dct, x).reshape(-1, p) @ dct.T
-    residual = np.matmul(dct.T, (corner @ dct).reshape(rows, c, -1))
+    residual, = scratch(x.shape, np.float64)
+    np.matmul(dct.T, (corner @ dct).reshape(rows, c, -1), out=residual)
     np.subtract(x, residual, out=residual)
     r = residual.reshape(rows, p, cols, p)
     energies = np.einsum("rpqs,rpqs->rq", r, r)

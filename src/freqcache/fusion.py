@@ -231,7 +231,10 @@ def decide(prev, curr, cfg, *, step=0):
     if diagnostic is None:
         t0 = time.perf_counter_ns()
         sim = sim_freq(a_prev.amplitude, a_curr.amplitude, weights)
-        disp = phase_correlation_spectra(a_prev.spectrum, a_curr.spectrum,
+        # Release prev's amplitude before the correlation allocates its
+        # inverse, which can then reuse those bytes instead of fresh pages.
+        spectrum_prev, a_prev = a_prev.spectrum, None
+        disp = phase_correlation_spectra(spectrum_prev, a_curr.spectrum,
                                          curr.shape, cfg.patch_size)
         align = alignment_mask(disp, grid)
         timings["migration"] = (time.perf_counter_ns() - t0) // 1000

@@ -10,7 +10,7 @@ import scipy.fft
 
 from .errors import ConstantFrameError, DegenerateSpectrumError
 from .frame import validate_frame
-from .spectral import bin_dot
+from .spectral import bin_dot, scratch
 
 # Added to the cross-power magnitude so dead bins do not divide by zero.
 CROSS_POWER_EPS = 1e-12
@@ -144,7 +144,10 @@ def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
     one. The inverse runs in single precision: every normalized bin has
     unit magnitude, so its round-off stays near 1e-7 of the peak, while a
     shift's impulse stands far above the rest of the response. Neither
-    input is written to.
+    input is written to. The cross-power spectrum, its magnitude and the
+    single-precision input share 24 bytes per half-spectrum bin of this
+    thread's :func:`~freqcache.spectral.scratch` region, so a stream of
+    equal-shape frames allocates no new temporaries for them.
     """
     h, w = shape
     if spec_prev.shape != (h, w // 2 + 1) or spec_curr.shape != spec_prev.shape:
@@ -152,13 +155,16 @@ def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
             f"half spectra {spec_prev.shape} and {spec_curr.shape} do not "
             f"match frame shape {tuple(shape)}"
         )
-    cross = np.conj(spec_curr)
+    cross, mag = scratch(spec_prev.shape, np.complex128, np.float64)
+    np.conjugate(spec_curr, out=cross)
     cross *= spec_prev
-    mag = np.abs(cross)
+    np.abs(cross, out=mag)
     mag += CROSS_POWER_EPS
     cross /= mag
-    response = scipy.fft.irfft2(cross.astype(np.complex64), s=(h, w),
-                                overwrite_x=True)
+    # The magnitude is spent: its 8 bytes per bin take the complex64 input.
+    single = mag.view(np.complex64)
+    np.copyto(single, cross, casting="same_kind")
+    response = scipy.fft.irfft2(single, s=(h, w), overwrite_x=True)
     di, dj = _impulse_displacement(response)
     return Displacement.from_pixels(di, dj, patch_size)
 

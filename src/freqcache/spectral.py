@@ -1,7 +1,48 @@
 """Hermitian weights and the weighted bin sum that let an ``rfft2`` half
-spectrum stand for the full frequency grid of a real frame."""
+spectrum stand for the full frequency grid of a real frame, and the
+per-thread scratch region that ``decide``'s stages carve their frame-sized
+temporaries from."""
+
+import math
+import threading
 
 import numpy as np
+
+# Offsets of the views within the scratch region are rounded up to this, so
+# each view keeps the 16-byte alignment NumPy's allocator gives the region.
+_SCRATCH_ALIGN = 16
+
+
+class _Scratch(threading.local):
+    region = None
+
+
+_scratch = _Scratch()
+
+
+def scratch(shape, *dtypes):
+    """One array of ``shape`` per dtype, laid end to end in this thread's
+    scratch region.
+
+    The region is a ``uint8`` buffer that grows to the largest request made
+    on the thread and is never released, so a stream of equal-shape frames
+    faults its pages in once instead of on every call. The arrays hold
+    whatever the last request left, and every request hands out the same
+    bytes again. So a caller writes them before reading them, lets no view
+    of them outlive the call, and calls nothing that requests scratch while
+    it holds them.
+    """
+    count = math.prod(shape)
+    starts, end = [], 0
+    for dtype in dtypes:
+        starts.append(end)
+        end += -(-count * np.dtype(dtype).itemsize // _SCRATCH_ALIGN) * _SCRATCH_ALIGN
+    region = _scratch.region
+    if region is None or region.size < end:
+        region = _scratch.region = np.empty(end, np.uint8)
+    return [region[start:start + count * np.dtype(dtype).itemsize]
+            .view(dtype).reshape(shape)
+            for start, dtype in zip(starts, dtypes)]
 
 
 def hermitian_weights(width):

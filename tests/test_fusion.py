@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +23,18 @@ from freqcache import (
     Displacement,
     EntropyReading,
     InvariantError,
+    PatchGrid,
     decide,
     default_token_fn,
+    patch_energy,
+    phase_correlation_spectra,
     populate_cache,
     run_sequence,
+    spectral_entropy,
     step,
     topk_ascending,
 )
-from freqcache import fusion
+from freqcache import fusion, spectral
 from freqcache.bench import bench
 from freqcache.records import decision_record
 
@@ -219,9 +225,15 @@ class TestSpectrumCarryOver:
         assert in_fresh_thread(stream, frames, CFG32) == cold
 
     def test_interleaved_threads_match_running_alone(self, monkeypatch):
+        # Equal shapes, then shapes whose scratch regions differ in size.
+        for shapes in (((32, 32), (32, 32)), ((32, 32), (64, 48))):
+            self._interleave(monkeypatch, shapes)
+
+    @staticmethod
+    def _interleave(monkeypatch, shapes):
         sequences = []
-        for seed, shift in ((46, (1, 2)), (47, (-3, 4))):
-            frames = [textured(seed)]
+        for seed, shift, shape in zip((46, 47), ((1, 2), (-3, 4)), shapes):
+            frames = [textured(seed, shape)]
             for _ in range(6):
                 frames.append(np.roll(frames[-1], shift, axis=(0, 1)))
             sequences.append(frames)
@@ -233,6 +245,7 @@ class TestSpectrumCarryOver:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         turn = threading.Barrier(2, timeout=60)
         together = [None, None]
+        regions = [None, None]
 
         def lockstep(k):
             frames = sequences[k]
@@ -245,6 +258,7 @@ class TestSpectrumCarryOver:
                 if not k:
                     turn.wait()
             together[k] = out
+            regions[k] = spectral._scratch.region
 
         workers = [threading.Thread(target=lockstep, args=(k,)) for k in (0, 1)]
         for w in workers:
@@ -252,9 +266,13 @@ class TestSpectrumCarryOver:
         for w in workers:
             w.join(timeout=120)
             assert not w.is_alive()
+        monkeypatch.undo()
         assert together == alone
         # each thread still carries its own spectrum over between its steps
         assert len(calls) == sum(len(frames) for frames in sequences)
+        # and writes its temporaries to a scratch region of its own
+        assert regions[0] is not None and regions[1] is not None
+        assert not np.shares_memory(regions[0], regions[1])
 
     def test_rfft2_calls(self, monkeypatch):
         calls = []
@@ -281,6 +299,84 @@ class TestSpectrumCarryOver:
         calls.clear()
         in_fresh_thread(bench, CacheConfig(patch_size=16), 32, 32, 4, 3)
         assert len(calls) == 2 * (4 + 3)
+
+
+def shifted_stream(seed, shape, n=3, shift=(5, -11)):
+    frames = [textured(seed, shape)]
+    for _ in range(n - 1):
+        frames.append(np.roll(frames[-1], shift, axis=(0, 1)))
+    return frames
+
+
+def stage_results(frames, patch_size):
+    """Every user of the scratch region, run on one stream: the decisions,
+    then phase correlation, entropy and edge energy of its last pair."""
+    cfg = CacheConfig(patch_size=patch_size)
+    prev, curr = frames[-2], frames[-1]
+    spec_prev, spec_curr = scipy.fft.rfft2(prev), scipy.fft.rfft2(curr)
+    weights = spectral.hermitian_weights(curr.shape[1])
+    return (stream(frames, cfg),
+            phase_correlation_spectra(spec_prev, spec_curr, curr.shape, patch_size),
+            spectral_entropy(np.abs(spec_curr), weights),
+            patch_energy(PatchGrid(curr, patch_size)).energies)
+
+
+class TestScratchRegion:
+    def test_carried_decide_allocates_under_two_and_a_half_frames(self):
+        # With its temporaries on the thread's scratch region, a carried
+        # decide allocates the new frame's half spectrum and amplitude (about
+        # 1.5 frames) and the float32 correlation response (0.5 frames).
+        frames = shifted_stream(49, (256, 256), n=4)
+        cfg = CacheConfig(patch_size=16)
+
+        def carried_peak():
+            decide(frames[0], frames[1], cfg, step=1)
+            decide(frames[1], frames[2], cfg, step=2)
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                decide(frames[2], frames[3], cfg, step=3)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+
+        assert in_fresh_thread(carried_peak) <= 2.5 * frames[0].nbytes
+
+    def test_growing_and_shrinking_region_matches_fresh_threads(self):
+        cases = [(50, (96, 96), 8), (51, (256, 256), 16), (52, (96, 96), 16)]
+
+        def one_thread():
+            return [stage_results(shifted_stream(seed, shape), p)
+                    for seed, shape, p in cases]
+
+        for got, (seed, shape, p) in zip(in_fresh_thread(one_thread), cases):
+            want = in_fresh_thread(stage_results, shifted_stream(seed, shape), p)
+            assert got[:3] == want[:3]
+            assert np.array_equal(got[3], want[3])
+
+    def test_results_do_not_alias_the_region(self):
+        def kept_then_more_calls():
+            # The largest request comes first, so the later calls reuse the
+            # region instead of growing it away from anything that aliases it.
+            stage_results(shifted_stream(54, (128, 96)), 16)
+            frames = shifted_stream(53, (64, 64))
+            energy = patch_energy(PatchGrid(frames[-1], 8))
+            decision = decide(frames[0], frames[1], CFG32, step=1)
+            kept = (energy.energies.copy(), copy.deepcopy(decision))
+            for seed, shape, p in ((55, (96, 96), 16), (56, (64, 64), 8)):
+                stage_results(shifted_stream(seed, shape), p)
+            region = spectral._scratch.region
+            return energy, decision, kept, region
+
+        energy, decision, (energies, copied), region = in_fresh_thread(
+            kept_then_more_calls)
+        assert not np.shares_memory(energy.energies, region)
+        assert np.array_equal(energy.energies, energies)
+        assert decision == copied
+        assert decision.timings_us == copied.timings_us
 
 
 class TestDecideReference:
