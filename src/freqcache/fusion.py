@@ -112,12 +112,12 @@ def default_token_fn(patches):
     k = a.shape[0]
     flat = a.reshape(k, -1)
     clipped = np.clip(flat, 0.0, 1.0)
-    # numpy's uniform-bin rule: scale, truncate, then correct the bins
-    # that rounding put one off against the exact edges.
+    # Scale and truncate, with 1.0 moved into the last bin. This needs none
+    # of np.histogram's corrections against the edges: 16 is a power of two,
+    # so x * 16 is exact for every x in [0, 1], as is every edge k / 16
+    # (_TOKEN_EDGES * 16 == arange(17)), and x >= k / 16 iff x * 16 >= k.
     idx = (clipped * _TOKEN_BINS).astype(np.intp)
-    idx[idx == _TOKEN_BINS] = _TOKEN_BINS - 1
-    idx[clipped < _TOKEN_EDGES[idx]] -= 1
-    idx[(clipped >= _TOKEN_EDGES[idx + 1]) & (idx != _TOKEN_BINS - 1)] += 1
+    np.minimum(idx, _TOKEN_BINS - 1, out=idx)
     idx += _TOKEN_BINS * np.arange(k)[:, None]
     out = np.empty((k, _TOKEN_BINS + 2))
     out[:, :_TOKEN_BINS] = np.bincount(
@@ -370,7 +370,9 @@ def step(cache, decision, curr, token_fn):
         raise InvariantError(
             f"reuse source ({si[k]}, {sj[k]}) out of bounds for patch {reuse[k]}"
         )
-    recompute = np.setdiff1d(np.arange(n), reuse)
+    keep = np.ones(n, dtype=bool)
+    keep[reuse] = False
+    recompute = np.flatnonzero(keep)
     if recompute.size:
         fresh = grid.tokens(token_fn, recompute)
         tokens = np.empty((n, fresh.shape[1]))

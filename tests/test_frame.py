@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from freqcache import PatchGrid, default_token_fn, per_patch
 from freqcache.frame import TOKEN_CHUNK_PIXELS
+from freqcache.fusion import _TOKEN_BINS, _TOKEN_EDGES
 
 from oracles import histogram_token
 
 EDGES = np.linspace(0.0, 1.0, 17)
-# Exact bin edges, their floating-point neighbours, values outside [0, 1]
-# and plain values inside it.
+# Exact bin edges and -0.0, their floating-point neighbours, values outside
+# [0, 1] and plain values inside it.
 PIXELS = st.one_of(
-    st.sampled_from([float(e) for e in EDGES]),
+    st.sampled_from([float(e) for e in EDGES] + [-0.0]),
     st.sampled_from([float(np.nextafter(e, side))
                      for e in EDGES for side in (-np.inf, np.inf)]),
     st.floats(-2.0, 3.0, allow_nan=False),
@@ -44,6 +45,13 @@ class TestDefaultTokenFn:
         got = grid.tokens(default_token_fn)
         expected = view_tokens(grid, histogram_token, range(grid.n_patches))
         assert np.array_equal(got, expected)
+
+    def test_scaled_bin_edges_are_exact(self):
+        # default_token_fn bins by truncating x * 16 with no correction
+        # against the edges; that is exact only while every edge scales to
+        # its integer exactly.
+        assert np.array_equal(_TOKEN_EDGES, EDGES)
+        assert np.array_equal(_TOKEN_EDGES * _TOKEN_BINS, np.arange(17))
 
 
 class TestPatchGridTokens:

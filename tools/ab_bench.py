@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Alternating A/B of two revisions on the freqcache benchmark.
+
+    python3 tools/ab_bench.py --parent REV --change REV --pr N --work DIR
+
+Exports each revision with ``git archive`` into its own directory under
+``DIR``, then runs ``perfbench/run.py --workload all --seed S`` there, one
+run at a time, for ``PAIRS`` pairs on seeds 1 to 10: the parent goes
+first on odd seeds and the change first on even ones. One more pair, the
+parent first, runs on the held-out seed 1000. Writes ``BENCH_<N>.json`` at
+the top of the repository with every result line, the decisions SHA-256
+of each workload and run, the machine facts, and per workload and
+end-to-end metric of ``BENCHMARK.json`` the medians, the parent's
+quartiles and the pairs each side won.
+
+Each side is recorded by its commit and tree hashes. Work that is not
+committed can be measured as the revision that ``git stash create`` prints
+after ``git add``; its tree hash is the tree of the commit that later
+holds the same files. Uses the standard library only.
+"""
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+# Ten pairs, the fewest whose win count can back a claimed gain.
+PAIRS = 10
+# perfbench's README keeps seeds 1-10 for tuning; any other is held out.
+HELD_OUT_SEED = 1000
+COMMAND = "python3 perfbench/run.py --workload all --seed N"
+
+
+def git(*args):
+    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
+
+
+def export(rev, dest):
+    """The files of ``rev`` under ``dest``, without ``.git``."""
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def perfbench(tree, seed):
+    """The result line of one ``--workload all`` run in ``tree`` and the
+    decisions SHA-256 and machine facts it saved for each workload."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all",
+         "--seed", str(seed)],
+        cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"ab_bench: perfbench in {tree} seed {seed} exited "
+                         f"with {proc.returncode}:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    names = sorted({key.split("/")[0] for key in result["metrics"]})
+    saved = {name: json.loads((tree / ".perfbench_out" / "results" /
+                               f"{name}-seed{seed}.json").read_text())
+             for name in names}
+    return result, {name: s["decisions_sha256"] for name, s in saved.items()}, \
+        saved[names[0]]["machine"]
+
+
+def quartiles(values):
+    q1, _, q3 = statistics.quantiles(values, n=4, method="exclusive")
+    return q1, q3
+
+
+def summarise(runs, metrics):
+    """Per workload: medians, the parent's quartiles and IQR and the pairs
+    each side won for every end-to-end metric, then SHA-256 agreement and
+    failed frames."""
+    summary = {}
+    for name in runs["parent"][0]["sha256"]:
+        entry = {}
+        for metric in metrics:
+            key = f"{name}/{metric['name']}"
+            values = {side: [r["result"]["metrics"][key]["value"]
+                             for r in runs[side]] for side in SIDES}
+            sign = -1.0 if metric["better"] == "lower" else 1.0
+            gaps = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+            q1, q3 = quartiles(values["parent"])
+            entry[metric["name"]] = {
+                "parent_median": round(statistics.median(values["parent"]), 6),
+                "change_median": round(statistics.median(values["change"]), 6),
+                "change_wins": sum(g > 0 for g in gaps),
+                "change_losses": sum(g < 0 for g in gaps),
+                "parent_quartiles": [round(q1, 6), round(q3, 6)],
+                "parent_iqr": round(q3 - q1, 6),
+            }
+        entry["decisions_sha256_equal_seeds"] = sum(
+            p["sha256"][name] == c["sha256"][name]
+            for p, c in zip(runs["parent"], runs["change"]))
+        entry["failed_frames"] = {side: sum(r["result"]["failed"] for r in runs[side])
+                                  for side in SIDES}
+        summary[name] = entry
+    return summary
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--pr", required=True, type=int)
+    parser.add_argument("--work", required=True, type=Path,
+                        help="new directory for the exported trees")
+    args = parser.parse_args(argv)
+
+    top = Path(git("rev-parse", "--show-toplevel").decode().strip())
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+               for side, rev in zip(SIDES, (args.parent, args.change))}
+    trees = {side: args.work / side for side in SIDES}
+    for side in SIDES:
+        export(commits[side], trees[side])
+    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def pair(seed, parent_first):
+        out = {}
+        for side in (SIDES if parent_first else SIDES[::-1]):
+            result, sha256, machine = perfbench(trees[side], seed)
+            out[side] = {"seed": seed, "result": result, "sha256": sha256,
+                         "machine": machine}
+            print(f"ab_bench: seed {seed} {side} done", file=sys.stderr, flush=True)
+        return out
+
+    runs = {side: [] for side in SIDES}
+    for seed in range(1, PAIRS + 1):
+        done = pair(seed, parent_first=seed % 2 == 1)
+        for side in SIDES:
+            runs[side].append(done[side])
+    held = pair(HELD_OUT_SEED, parent_first=True)
+
+    machine = runs["change"][0]["machine"]
+    bench = {
+        "command": COMMAND,
+        "method": "10 alternating pairs, seeds 1-10, the parent first on odd "
+                  "seeds, one run at a time; each side ran "
+                  "from its own git archive of its revision (tools/ab_bench.py). "
+                  "Times are perfbench's probe-scaled figures. Quartiles use "
+                  "statistics.quantiles(method='exclusive').",
+        "machine": {key: machine[key] for key in
+                    ("nproc", "python", "numpy", "scipy", "platform")}
+                   | {"cpu": f"{platform.machine()}, {os.cpu_count()} cores; "
+                             "perfbench pins each run to one"},
+    }
+    for side in SIDES:
+        bench[side] = {
+            "commit": commits[side],
+            "tree": git("rev-parse", f"{commits[side]}^{{tree}}").decode().strip(),
+            "runs": [{"seed": r["seed"], "result": r["result"]} for r in runs[side]],
+            "decisions_sha256": {name: [r["sha256"][name] for r in runs[side]]
+                                 for name in runs[side][0]["sha256"]},
+        }
+    bench["summary"] = summarise(runs, metrics)
+    bench["held_out"] = {
+        "seed": HELD_OUT_SEED,
+        "method": "one pair on a seed not used while the change was written, "
+                  "the parent first",
+        **{side: held[side]["result"] for side in SIDES},
+        "decisions_sha256_equal": held["parent"]["sha256"] == held["change"]["sha256"],
+    }
+    out = top / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(bench, indent=2) + "\n")
+    print(f"ab_bench: wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
