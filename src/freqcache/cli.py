@@ -1,11 +1,13 @@
 """Command-line surface: synth, analyze, masks, compare, bench.
 
+Each subcommand takes only the settings it reads (``READS``): a flag for
+each, config keys for them alone, and ``--config`` only if it reads any.
 Settings resolve in three layers: built-in defaults, then a key=value
 config file (``--config``), then explicit flags. Every run writes a
 manifest JSON next to its outputs recording the resolved settings, inputs,
 outputs, and wall-clock time. A rejected setting or input exits with status
 2 and one ``freqcache: error:`` line on stderr, which starts with
-``path:line:`` when the value came from the config file.
+``path:line:`` when the value came from a file.
 """
 
 import argparse
@@ -40,6 +42,16 @@ DEFAULTS = {
     "tau_naive_freq": _COMPARE["tau_naive_freq"],
 }
 
+# The settings each subcommand reads: its flags, config keys and manifest.
+_CACHE_KEYS = ("patch_size", "tau_mig", "lambda", "alpha_min", "alpha_max")
+READS = {
+    "synth": ("patch_size", "seed"),
+    "analyze": _CACHE_KEYS,
+    "masks": (),
+    "compare": _CACHE_KEYS + ("seed", "tau_visual", "tau_naive_freq"),
+    "bench": _CACHE_KEYS + ("seed",),
+}
+
 
 class Settings(dict):
     """Setting values by key; ``origin`` maps each key whose value came from
@@ -62,11 +74,19 @@ class Settings(dict):
             raise ValueError(f"{where}: {exc}") from None
 
 
-def read_config_file(path):
-    """Parse a key=value config file into :class:`Settings`; '#' starts a
-    comment.
+def _read(flag, path, reader, *args):
+    """``reader(path, *args)``; an OSError becomes a ValueError naming
+    ``flag`` and ``path``."""
+    try:
+        return reader(path, *args)
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror}") from None
 
-    Each value is parsed as the type of its default (int or float).
+
+def read_config_file(path, command):
+    """Parse a key=value config file for ``command`` into :class:`Settings`;
+    '#' starts a comment. Each key must be one ``command`` reads, and each
+    value is parsed as the type of its default (int or float).
     """
     settings = Settings()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -77,8 +97,9 @@ def read_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in DEFAULTS:
-            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key not in READS[command]:
+            raise ValueError(f"{path}:{lineno}: unknown setting {key!r} for "
+                             f"{command}; it reads {', '.join(READS[command])}")
         kind = type(DEFAULTS[key])
         try:
             settings[key] = kind(value)
@@ -91,14 +112,17 @@ def read_config_file(path):
 
 
 def resolve_settings(args):
-    """Defaults, overridden by the config file, overridden by flags."""
-    settings = Settings(DEFAULTS)
+    """The settings ``args.command`` reads: defaults, overridden by the
+    config file, overridden by flags."""
+    keys = READS[args.command]
+    settings = Settings((key, DEFAULTS[key]) for key in keys)
     if getattr(args, "config", None):
-        from_file = read_config_file(args.config)
+        from_file = _read("--config", args.config, read_config_file,
+                          args.command)
         settings.update(from_file)
         settings.origin.update(from_file.origin)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
             settings.origin.pop(key, None)
@@ -128,10 +152,7 @@ def build_cache_config(settings):
 
 def _load_input(args, settings):
     """The frames of ``--input``, checked to tile by the patch size."""
-    try:
-        frames = load_frames(args.input, args.format)
-    except OSError as exc:
-        raise ValueError(f"--input {args.input}: {exc.strerror}") from None
+    frames = _read("--input", args.input, load_frames, args.format)
     with settings.blame("patch_size"):
         PatchGrid(frames[0], settings["patch_size"])
     return frames
@@ -152,15 +173,18 @@ def write_manifest(path, command, settings, inputs, outputs, t0):
     return path
 
 
-def _add_common(parser):
-    parser.add_argument("--patch-size", dest="patch_size", type=int)
-    parser.add_argument("--tau-mig", dest="tau_mig", type=float)
-    parser.add_argument("--lambda", dest="lambda", type=float,
-                        help="edge sensitivity")
-    parser.add_argument("--alpha-min", dest="alpha_min", type=float)
-    parser.add_argument("--alpha-max", dest="alpha_max", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--config", help="key=value settings file")
+def _add_command(sub, name, func, summary):
+    """The subparser of ``name``, which runs ``func``: a flag per setting it
+    reads, typed by its default, and ``--config`` if it reads any."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(func=func)
+    for key in READS[name]:
+        parser.add_argument("--" + key.replace("_", "-"),
+                            type=type(DEFAULTS[key]),
+                            help=f"default {DEFAULTS[key]}")
+    if READS[name]:
+        parser.add_argument("--config", help="key=value settings file")
+    return parser
 
 
 def _add_scene(parser):
@@ -192,9 +216,7 @@ def _scene_from_args(args, settings):
     return generate_scene(spec)
 
 
-def cmd_synth(args):
-    t0 = time.time()
-    settings = resolve_settings(args)
+def cmd_synth(args, settings, t0):
     scene = _scene_from_args(args, settings)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -214,9 +236,7 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_analyze(args):
-    t0 = time.time()
-    settings = resolve_settings(args)
+def cmd_analyze(args, settings, t0):
     cfg = build_cache_config(settings)
     frames = _load_input(args, settings)
     report = run_sequence(frames, cfg)
@@ -236,10 +256,8 @@ def cmd_analyze(args):
     return 0
 
 
-def cmd_masks(args):
-    t0 = time.time()
-    settings = resolve_settings(args)
-    decisions = read_decisions_jsonl(args.decisions)
+def cmd_masks(args, settings, t0):
+    decisions = _read("--decisions", args.decisions, read_decisions_jsonl)
     out_dir = Path(args.out_dir)
     paths = export_masks(decisions, out_dir)
     write_manifest(out_dir / "manifest.json", "masks", settings,
@@ -248,9 +266,7 @@ def cmd_masks(args):
     return 0
 
 
-def cmd_compare(args):
-    t0 = time.time()
-    settings = resolve_settings(args)
+def cmd_compare(args, settings, t0):
     cfg = build_cache_config(settings)
     if args.input:
         frames = _load_input(args, settings)
@@ -277,9 +293,7 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_bench(args):
-    t0 = time.time()
-    settings = resolve_settings(args)
+def cmd_bench(args, settings, t0):
     cfg = build_cache_config(settings)
     result = bench(cfg, args.height, args.width, iterations=args.iterations,
                    warmup=args.warmup, seed=settings["seed"])
@@ -301,14 +315,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a synthetic scene as rawf32")
-    _add_common(synth)
+    synth = _add_command(sub, "synth", cmd_synth,
+                         "generate a synthetic scene as rawf32")
     _add_scene(synth)
     synth.add_argument("--out", required=True, help="output rawf32 path")
-    synth.set_defaults(func=cmd_synth)
 
-    analyze = sub.add_parser("analyze", help="run the pipeline over frames")
-    _add_common(analyze)
+    analyze = _add_command(sub, "analyze", cmd_analyze,
+                           "run the pipeline over frames")
     analyze.add_argument("--input", required=True)
     analyze.add_argument("--format", choices=("auto", "pgm", "rawf32"),
                          default="auto")
@@ -316,33 +329,27 @@ def build_parser():
     analyze.add_argument("--timings", action="store_true",
                          help="include per-stage timings in the JSONL "
                               "(non-reproducible across runs)")
-    analyze.set_defaults(func=cmd_analyze)
 
-    masks = sub.add_parser("masks", help="render decisions as PGM masks")
-    _add_common(masks)
+    masks = _add_command(sub, "masks", cmd_masks,
+                         "render decisions as PGM masks")
     masks.add_argument("--decisions", required=True, help="decisions.jsonl path")
     masks.add_argument("--out-dir", required=True)
-    masks.set_defaults(func=cmd_masks)
 
-    comp = sub.add_parser("compare", help="three-policy comparison report")
-    _add_common(comp)
+    comp = _add_command(sub, "compare", cmd_compare,
+                        "three-policy comparison report")
     _add_scene(comp)
     comp.add_argument("--input", help="frames file; omit to use the scene flags")
     comp.add_argument("--format", choices=("auto", "pgm", "rawf32"),
                       default="auto")
-    comp.add_argument("--tau-visual", dest="tau_visual", type=float)
-    comp.add_argument("--tau-naive-freq", dest="tau_naive_freq", type=float)
     comp.add_argument("--out-dir", required=True)
-    comp.set_defaults(func=cmd_compare)
 
-    bench_p = sub.add_parser("bench", help="time the per-step decision")
-    _add_common(bench_p)
+    bench_p = _add_command(sub, "bench", cmd_bench,
+                           "time the per-step decision")
     bench_p.add_argument("--height", type=int, default=224)
     bench_p.add_argument("--width", type=int, default=224)
     bench_p.add_argument("--iterations", type=int, default=100)
     bench_p.add_argument("--warmup", type=int, default=5)
     bench_p.add_argument("--out")
-    bench_p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -350,8 +357,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        return args.func(args, resolve_settings(args), t0)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

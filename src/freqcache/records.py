@@ -11,6 +11,10 @@ import json
 
 METRICS_HEADER = ["step", "reuse_ratio", "sim_freq", "entropy", "alpha",
                   "latency_model_ms"]
+# The keys of every decision record; ``timings_us`` is written on request.
+RECORD_KEYS = ("step", "flushed", "sim_freq", "displacement", "entropy",
+               "alpha", "k_reuse", "k_candidate", "k_final", "reuse_set",
+               "grid", "refresh_set", "diagnostic")
 
 
 def decision_record(decision, include_timings=False):
@@ -51,8 +55,30 @@ def write_decisions_jsonl(path, decisions, include_timings=False):
 
 
 def read_decisions_jsonl(path):
+    """The records of a decisions JSONL file, skipping blank lines.
+
+    A line that is not a JSON object holding every key in
+    :data:`RECORD_KEYS` raises ValueError starting with ``path:line:``.
+    """
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc.msg} at "
+                                 f"column {exc.colno}") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, "
+                                 f"got {type(rec).__name__}")
+            missing = [key for key in RECORD_KEYS if key not in rec]
+            if missing:
+                raise ValueError(f"{path}:{lineno}: decision record lacks "
+                                 f"{', '.join(missing)}")
+            records.append(rec)
+    return records
 
 
 def metrics_rows(report):

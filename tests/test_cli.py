@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 
@@ -6,6 +7,8 @@ import pytest
 
 from freqcache import CacheConfig
 from freqcache.cli import (
+    DEFAULTS,
+    READS,
     build_cache_config,
     build_parser,
     main,
@@ -38,13 +41,13 @@ class TestConfigResolution:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tau_wat = 1\n")
         with pytest.raises(ValueError, match="unknown setting"):
-            read_config_file(cfg)
+            read_config_file(cfg, "analyze")
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tau_mig 0.3\n")
         with pytest.raises(ValueError, match="key=value"):
-            read_config_file(cfg)
+            read_config_file(cfg, "analyze")
 
     @pytest.mark.parametrize("line,message", [
         ("patch-size = 16.5", "patch_size must be int, got '16.5'"),
@@ -56,7 +59,7 @@ class TestConfigResolution:
         cfg.write_text(f"# settings\nlambda = 0.5\n{line}\n")
         with pytest.raises(ValueError,
                            match=re.escape(f"{cfg}:3: {message}")):
-            read_config_file(cfg)
+            read_config_file(cfg, "analyze")
 
     def test_default_settings_build_the_default_config(self):
         args = build_parser().parse_args(
@@ -78,6 +81,8 @@ class TestUsageErrors:
          "need 0 <= alpha_min <= alpha_max <= 1, got (0.9, 0.1)"),
         ("", ("--lambda", "inf"), "lambda must be finite, got inf"),
         ("lambda = inf", (), "{cfg}:3: lambda must be finite, got inf"),
+        ("seed = 3", (), "{cfg}:3: unknown setting 'seed' for analyze; it "
+         "reads patch_size, tau_mig, lambda, alpha_min, alpha_max"),
     ])
     def test_rejected_setting_prints_one_line(self, tmp_path, capsys, config,
                                               flags, message):
@@ -101,6 +106,77 @@ class TestUsageErrors:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == (
             f"freqcache: error: --input {missing}: No such file or directory\n")
+
+        for flag, argv in [
+            ("--config", ("synth", "--out", tmp_path / "s.fqc")),
+            ("--decisions", ("masks", "--out-dir", tmp_path / "masks")),
+        ]:
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(*argv, flag, missing)
+            assert exit_info.value.code == 2
+            assert capsys.readouterr().err == (
+                f"freqcache: error: {flag} {missing}: "
+                "No such file or directory\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("masks", "--decisions", "d.jsonl", "--out-dir", "m",
+         "--tau-mig", "0.5"),
+        ("analyze", "--input", "x", "--out-dir", "y", "--seed", "1"),
+        ("synth", "--out", "s.fqc", "--lambda", "1"),
+        ("masks", "--decisions", "d.jsonl", "--out-dir", "m",
+         "--config", "run.cfg"),
+    ])
+    def test_flag_for_a_setting_the_command_does_not_read_exits_2(
+            self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestSettingsTable:
+    """Each subcommand's setting flags, ``--config`` and manifest settings
+    follow ``READS``."""
+
+    def test_setting_flags_follow_the_table(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(READS)
+        for name, sub in commands.items():
+            flags = {a.dest: a for a in sub._actions}
+            settings = {dest for dest in flags if dest in DEFAULTS}
+            assert settings == set(READS[name]), name
+            for key in READS[name]:
+                assert flags[key].option_strings == ["--" + key.replace("_", "-")]
+                assert flags[key].type is type(DEFAULTS[key])
+                assert flags[key].default is None
+            assert ("config" in flags) == bool(READS[name]), name
+
+    def test_manifest_settings_follow_the_table(self, tmp_path):
+        raw = tmp_path / "scene.fqc"
+        out = tmp_path / "analysis"
+        bench_out = tmp_path / "bench.json"
+        runs = {
+            "synth": (("--height", 32, "--width", 32, "--length", 3,
+                       "--out", raw), raw.with_suffix(".fqc.manifest.json")),
+            "analyze": (("--input", raw, "--out-dir", out,
+                         "--patch-size", 8), out / "manifest.json"),
+            "masks": (("--decisions", out / "decisions.jsonl",
+                       "--out-dir", tmp_path / "masks"),
+                      tmp_path / "masks" / "manifest.json"),
+            "compare": (("--input", raw, "--patch-size", 8,
+                         "--out-dir", tmp_path / "cmp"),
+                        tmp_path / "cmp" / "manifest.json"),
+            "bench": (("--height", 32, "--width", 32, "--patch-size", 8,
+                       "--iterations", 1, "--warmup", 0, "--out", bench_out),
+                      bench_out.with_suffix(".json.manifest.json")),
+        }
+        assert set(runs) == set(READS)
+        for name, (argv, manifest_path) in runs.items():
+            assert run_cli(name, *argv) == 0
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["command"] == name
+            assert list(manifest["settings"]) == list(READS[name])
 
 
 class TestEndToEnd:
