@@ -36,6 +36,7 @@ from .fusion import (
     populate_cache,
     run_sequence,
     step,
+    stream,
     topk_ascending,
 )
 from .migration import (
@@ -91,6 +92,7 @@ __all__ = [
     "sim_spatial",
     "spectral_entropy",
     "step",
+    "stream",
     "topk_ascending",
     "validate_frame",
 ]

@@ -75,12 +75,14 @@ class Settings(dict):
 
 
 def _read(flag, path, reader, *args):
-    """``reader(path, *args)``; an OSError becomes a ValueError naming
-    ``flag`` and ``path``."""
+    """``reader(path, *args)``; an OSError or a file that is not UTF-8 text
+    becomes a ValueError naming ``flag`` and ``path``."""
     try:
         return reader(path, *args)
     except OSError as exc:
         raise ValueError(f"{flag} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{flag} {path}: not UTF-8 text") from None
 
 
 def read_config_file(path, command):
@@ -89,7 +91,8 @@ def read_config_file(path, command):
     value is parsed as the type of its default (int or float).
     """
     settings = Settings()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -195,9 +198,6 @@ def _add_scene(parser):
     parser.add_argument("--shift-i", type=int, default=2)
     parser.add_argument("--shift-j", type=int, default=3)
     parser.add_argument("--edge-count", type=int, default=4)
-    parser.add_argument("--gradient-lo", type=float, default=0.15)
-    parser.add_argument("--gradient-hi", type=float, default=0.85)
-    parser.add_argument("--noise-amplitude", type=float, default=1.0)
 
 
 def _scene_from_args(args, settings):
@@ -210,8 +210,6 @@ def _scene_from_args(args, settings):
         shift=(args.shift_i, args.shift_j),
         edge_count=args.edge_count,
         patch_size=settings["patch_size"],
-        gradient_range=(args.gradient_lo, args.gradient_hi),
-        noise_amplitude=args.noise_amplitude,
     )
     return generate_scene(spec)
 

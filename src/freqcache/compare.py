@@ -16,8 +16,8 @@ ground-truth edge patch (when labels are available), and modeled latency.
 import numpy as np
 import scipy.fft
 
-from .frame import PatchGrid, validate_frame
-from .fusion import DEFAULT_COST_MODEL, decide
+from .frame import PatchGrid
+from .fusion import DEFAULT_COST_MODEL, stream
 from .migration import _position_cosines
 
 
@@ -30,37 +30,32 @@ def _patch_amplitudes(grid, frame):
     return np.abs(spectra).reshape(grid.n_patches, -1)
 
 
-def compare_domains(frames, cfg, *, token_fn=None, edge_labels=None,
-                    tau_visual=0.85, tau_naive_freq=0.85):
+def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
+                    tau_naive_freq=0.85):
     """Run all three policies over consecutive frame pairs.
 
+    ``freqcache`` takes its reuse sets from :func:`fusion.stream`.
     ``edge_labels`` is an optional per-frame sequence of ground-truth edge
     patch indices; without it the false-reuse counts are reported as None.
-    The visual baseline embeds patches as raw intensity vectors by default,
-    which is exactly the position-wise matching it stands for.
+    The visual baseline embeds patches as raw intensity vectors, which is
+    exactly the position-wise matching it stands for.
     """
-    if len(frames) < 2:
-        raise ValueError("need at least 2 frames")
-    frames = [validate_frame(f) for f in frames]
-    token_fn = token_fn or _raw_pixels
     grid = PatchGrid(frames[0], cfg.patch_size)
     n = grid.n_patches
     have_labels = edge_labels is not None
 
     names = ("freqcache", "visual", "naive_freq")
-    reused_total = dict.fromkeys(names, 0)
+    reused = {name: [] for name in names}
     false_reuse = dict.fromkeys(names, 0)
-    latency_total = dict.fromkeys(names, 0.0)
 
     # Each frame is embedded and transformed once; its results serve as
     # ``curr`` for one step and ``prev`` for the next.
-    prev_tokens = grid.tokens(token_fn)
+    prev_tokens = grid.tokens(_raw_pixels)
     prev_amps = _patch_amplitudes(grid, frames[0])
-    for t in range(1, len(frames)):
-        curr = frames[t]
-        decision = decide(frames[t - 1], curr, cfg, step=t)
-        curr_tokens = grid.tokens(token_fn, frame=curr)
-        curr_amps = _patch_amplitudes(grid, curr)
+    for decision, _ in stream(frames, cfg):
+        t = decision.step
+        curr_tokens = grid.tokens(_raw_pixels, frame=frames[t])
+        curr_amps = _patch_amplitudes(grid, frames[t])
         visual_cos = _position_cosines(prev_tokens, curr_tokens)
         naive_cos = _position_cosines(prev_amps, curr_amps)
         prev_tokens, prev_amps = curr_tokens, curr_amps
@@ -71,25 +66,22 @@ def compare_domains(frames, cfg, *, token_fn=None, edge_labels=None,
         }
         labels = frozenset(edge_labels[t]) if have_labels else frozenset()
         for name, reuse in sets.items():
-            reused_total[name] += len(reuse)
+            reused[name].append(len(reuse))
             false_reuse[name] += len(reuse & labels)
-            latency_total[name] += DEFAULT_COST_MODEL.latency_ms(n - len(reuse))
 
-    n_steps = len(frames) - 1
-    baseline = DEFAULT_COST_MODEL.latency_ms(n)
     policies = {}
     for name in names:
-        mean_latency = latency_total[name] / n_steps
+        ratio, mean_latency, speedup = DEFAULT_COST_MODEL.summary(reused[name], n)
         policies[name] = {
-            "reuse_ratio": reused_total[name] / (n_steps * n),
+            "reuse_ratio": ratio,
             "edge_false_reuse": false_reuse[name] if have_labels else None,
             "mean_latency_ms": mean_latency,
-            "speedup": baseline / mean_latency,
+            "speedup": speedup,
         }
     return {
-        "n_steps": n_steps,
+        "n_steps": len(frames) - 1,
         "n_tokens": n,
-        "baseline_latency_ms": baseline,
+        "baseline_latency_ms": DEFAULT_COST_MODEL.latency_ms(n),
         "thresholds": {"tau_visual": tau_visual,
                        "tau_naive_freq": tau_naive_freq},
         "policies": policies,

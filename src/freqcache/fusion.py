@@ -35,6 +35,15 @@ class CostModel:
     def latency_ms(self, n_recompute):
         return self.base_ms + self.per_token_ms * n_recompute
 
+    def summary(self, reused_per_step, n_tokens):
+        """``(reuse_ratio, mean_latency_ms, speedup)`` of steps that each
+        reuse ``reused_per_step[t]`` of ``n_tokens`` tokens; the speedup is
+        against recomputing every token."""
+        mean_latency = sum(self.latency_ms(n_tokens - k)
+                           for k in reused_per_step) / len(reused_per_step)
+        return (sum(reused_per_step) / (len(reused_per_step) * n_tokens),
+                mean_latency, self.latency_ms(n_tokens) / mean_latency)
+
     @classmethod
     def calibrated(cls, full_ms, cached_ms, reuse_ratio, n_tokens):
         """Fit the two constants so that recomputing all ``n_tokens`` costs
@@ -329,7 +338,6 @@ class StepReport:
     step: int
     n_reused: int
     n_recomputed: int
-    latency_model_ms: float
 
 
 def populate_cache(frame, patch_size, token_fn):
@@ -387,9 +395,28 @@ def step(cache, decision, curr, token_fn):
         step=decision.step,
         n_reused=n - recompute.size,
         n_recomputed=recompute.size,
-        latency_model_ms=DEFAULT_COST_MODEL.latency_ms(recompute.size),
     )
     return TokenCache(tokens.reshape(rows, cols, -1), ages.reshape(rows, cols)), report
+
+
+def stream(frames, cfg):
+    """Yield ``(decision, cache)`` for steps 1 .. T-1 of ``frames``.
+
+    The cache cold-starts from ``frames[0]`` with :func:`default_token_fn`;
+    each step runs :func:`decide` on its frame pair, then applies the
+    decision with :func:`step`. A frame that ``decide`` rejects raises
+    ValueError naming its step.
+    """
+    if len(frames) < 2:
+        raise ValueError("need at least 2 frames")
+    cache = populate_cache(frames[0], cfg.patch_size, default_token_fn)
+    for t in range(1, len(frames)):
+        try:
+            decision = decide(frames[t - 1], frames[t], cfg, step=t)
+        except ValueError as exc:
+            raise ValueError(f"step {t}: {exc}") from None
+        cache, _ = step(cache, decision, frames[t], default_token_fn)
+        yield decision, cache
 
 
 @dataclass
@@ -403,7 +430,6 @@ class SequenceReport:
     n_frames: int
     n_tokens: int
     decisions: list
-    step_reports: list
     mean_reuse_ratio: float
     mean_latency_ms: float
     baseline_latency_ms: float
@@ -411,40 +437,19 @@ class SequenceReport:
     flush_count: int
 
 
-def run_sequence(frames, cfg, token_fn=default_token_fn):
-    """Drive decide/step over consecutive frames and aggregate the metrics."""
-    if len(frames) < 2:
-        raise ValueError("need at least 2 frames")
-    frames = [validate_frame(f) for f in frames]
-    shape = frames[0].shape
-    for t, f in enumerate(frames):
-        if f.shape != shape:
-            raise ValueError(
-                f"frame at step {t}: dimension mismatch {f.shape} vs {shape}"
-            )
-    grid = PatchGrid(frames[0], cfg.patch_size)
-    n = grid.n_patches
-
-    cache = populate_cache(frames[0], cfg.patch_size, token_fn)
-    decisions = []
-    reports = []
-    for t in range(1, len(frames)):
-        d = decide(frames[t - 1], frames[t], cfg, step=t)
-        cache, rep = step(cache, d, frames[t], token_fn)
-        decisions.append(d)
-        reports.append(rep)
-
-    total_reused = sum(d.k_final for d in decisions)
-    mean_latency = sum(r.latency_model_ms for r in reports) / len(reports)
-    baseline = DEFAULT_COST_MODEL.latency_ms(n)
+def run_sequence(frames, cfg):
+    """Fold :func:`stream` over consecutive frames into aggregate metrics."""
+    decisions = [d for d, _ in stream(frames, cfg)]
+    n = decisions[0].rows * decisions[0].cols
+    reuse_ratio, mean_latency, speedup = DEFAULT_COST_MODEL.summary(
+        [d.k_final for d in decisions], n)
     return SequenceReport(
         n_frames=len(frames),
         n_tokens=n,
         decisions=decisions,
-        step_reports=reports,
-        mean_reuse_ratio=total_reused / (len(decisions) * n),
+        mean_reuse_ratio=reuse_ratio,
         mean_latency_ms=mean_latency,
-        baseline_latency_ms=baseline,
-        speedup=baseline / mean_latency,
-        flush_count=sum(1 for d in decisions if d.flushed),
+        baseline_latency_ms=DEFAULT_COST_MODEL.latency_ms(n),
+        speedup=speedup,
+        flush_count=sum(d.flushed for d in decisions),
     )

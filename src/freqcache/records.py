@@ -9,6 +9,8 @@ requested; everything else is deterministic for identical inputs.
 import csv
 import json
 
+from .fusion import DEFAULT_COST_MODEL
+
 METRICS_HEADER = ["step", "reuse_ratio", "sim_freq", "entropy", "alpha",
                   "latency_model_ms"]
 # The keys of every decision record; ``timings_us`` is written on request.
@@ -58,7 +60,10 @@ def read_decisions_jsonl(path):
     """The records of a decisions JSONL file, skipping blank lines.
 
     A line that is not a JSON object holding every key in
-    :data:`RECORD_KEYS` raises ValueError starting with ``path:line:``.
+    :data:`RECORD_KEYS`, whose ``grid`` is not positive integer ``rows`` and
+    ``cols``, or whose ``reuse_set`` or ``refresh_set`` holds anything but
+    patch indices of that grid, raises ValueError starting with
+    ``path:line:``.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -77,23 +82,39 @@ def read_decisions_jsonl(path):
             if missing:
                 raise ValueError(f"{path}:{lineno}: decision record lacks "
                                  f"{', '.join(missing)}")
+            _check_indices(rec, f"{path}:{lineno}")
             records.append(rec)
     return records
 
 
+def _check_indices(rec, where):
+    """Raise ValueError at ``where`` unless ``rec``'s grid is positive integer
+    rows and cols and its reuse and refresh sets list indices of it."""
+    grid = rec["grid"]
+    rows, cols = ((grid.get("rows"), grid.get("cols"))
+                  if isinstance(grid, dict) else (None, None))
+    if not all(type(v) is int and v > 0 for v in (rows, cols)):
+        raise ValueError(f"{where}: grid must hold positive integer rows and "
+                         f"cols, got {json.dumps(grid)}")
+    n = rows * cols
+    for key in ("reuse_set", "refresh_set"):
+        indices = rec[key]
+        if not isinstance(indices, list):
+            raise ValueError(f"{where}: {key} must be a list, got "
+                             f"{json.dumps(indices)}")
+        bad = [i for i in indices if not (type(i) is int and 0 <= i < n)]
+        if bad:
+            raise ValueError(f"{where}: {key} holds {json.dumps(bad[0])}, not "
+                             f"a patch index in [0, {n}) of the "
+                             f"{rows}x{cols} grid")
+
+
 def metrics_rows(report):
     """CSV rows (one per decision step) for a sequence report."""
-    rows = []
-    for d, rep in zip(report.decisions, report.step_reports):
-        rows.append([
-            d.step,
-            d.k_final / report.n_tokens,
-            d.sim_freq,
-            d.entropy.normalized,
-            d.alpha_t,
-            rep.latency_model_ms,
-        ])
-    return rows
+    return [[d.step, d.k_final / report.n_tokens, d.sim_freq,
+             d.entropy.normalized, d.alpha_t,
+             DEFAULT_COST_MODEL.latency_ms(report.n_tokens - d.k_final)]
+            for d in report.decisions]
 
 
 def write_metrics_csv(path, report):

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 SCENE_KINDS = ("translate", "edge-inject", "complexity-ramp", "noise", "static")
+# Intensity range of the smooth gradient under edge-inject and
+# complexity-ramp scenes; edges step between its two ends.
+GRADIENT_LO, GRADIENT_HI = 0.15, 0.85
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,6 @@ class SceneSpec:
     shift: tuple = (2, 3)               # translate: per-step cyclic shift
     edge_count: int = 4                 # edge-inject: number of edge patches
     patch_size: int = 8                 # edge-inject: placement granularity
-    gradient_range: tuple = (0.15, 0.85)
-    noise_amplitude: float = 1.0
 
     def __post_init__(self):
         if self.kind not in SCENE_KINDS:
@@ -34,8 +35,6 @@ class SceneSpec:
             raise ValueError("scene dimensions must be >= 2")
         if self.length < 2:
             raise ValueError("scene length must be >= 2")
-        if not 0.0 < self.noise_amplitude <= 1.0:
-            raise ValueError("noise amplitude must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -47,18 +46,18 @@ class Scene:
     edge_labels: list  # frozenset of row-major patch indices, one per frame
 
 
-def _gradient(height, width, lo, hi):
+def _gradient(height, width):
     gx = np.linspace(0.0, 1.0, height)[:, None]
     gy = np.linspace(0.0, 1.0, width)[None, :]
-    return lo + (hi - lo) * (gx + gy) / 2.0
+    return GRADIENT_LO + (GRADIENT_HI - GRADIENT_LO) * (gx + gy) / 2.0
 
 
-def _stamp_edge(frame, i, j, p, lo, hi, vertical):
-    patch = np.full((p, p), lo)
+def _stamp_edge(frame, i, j, p, vertical):
+    patch = np.full((p, p), GRADIENT_LO)
     if vertical:
-        patch[:, p // 2:] = hi
+        patch[:, p // 2:] = GRADIENT_HI
     else:
-        patch[p // 2:, :] = hi
+        patch[p // 2:, :] = GRADIENT_HI
     frame[i * p:(i + 1) * p, j * p:(j + 1) * p] = patch
 
 
@@ -79,12 +78,11 @@ def generate_scene(spec):
         return Scene(spec, [base.copy() for _ in range(t_len)], empty)
 
     if spec.kind == "noise":
-        frames = [rng.random((h, w)) * spec.noise_amplitude for _ in range(t_len)]
+        frames = [rng.random((h, w)) for _ in range(t_len)]
         return Scene(spec, frames, empty)
 
-    lo, hi = spec.gradient_range
     if spec.kind == "complexity-ramp":
-        gradient = _gradient(h, w, lo, hi)
+        gradient = _gradient(h, w)
         noise = rng.random((h, w))
         frames = []
         for t in range(t_len):
@@ -106,7 +104,7 @@ def generate_scene(spec):
     positions = rng.choice(n, size=k, replace=False)
     vertical = rng.integers(0, 2, size=k).astype(bool)
     appear = [(e * t_len) // (k + 1) for e in range(k)]
-    background = _gradient(h, w, lo, hi)
+    background = _gradient(h, w)
     frames = []
     labels = []
     for t in range(t_len):
@@ -115,7 +113,7 @@ def generate_scene(spec):
         for e in range(k):
             if appear[e] <= t:
                 i, j = divmod(int(positions[e]), cols)
-                _stamp_edge(frame, i, j, p, lo, hi, bool(vertical[e]))
+                _stamp_edge(frame, i, j, p, bool(vertical[e]))
                 present.append(int(positions[e]))
         frames.append(frame)
         labels.append(frozenset(present))

@@ -15,7 +15,7 @@ from freqcache.cli import (
     read_config_file,
     resolve_settings,
 )
-from freqcache.frameio import load_rawf32, read_netpbm
+from freqcache.frameio import load_rawf32, read_netpbm, write_pgm
 from freqcache.records import read_decisions_jsonl
 
 
@@ -117,6 +117,58 @@ class TestUsageErrors:
             assert capsys.readouterr().err == (
                 f"freqcache: error: {flag} {missing}: "
                 "No such file or directory\n")
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--config", ("analyze", "--input", "x.fqc", "--out-dir", "out")),
+        ("--decisions", ("masks", "--out-dir", "masks")),
+    ])
+    def test_file_that_is_not_utf8_prints_one_line(self, tmp_path, capsys,
+                                                   flag, argv):
+        path = tmp_path / "random.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(64))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, flag, path)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {flag} {path}: not UTF-8 text\n")
+
+    def test_reuse_index_outside_the_grid_prints_one_line(self, tmp_path,
+                                                          capsys):
+        raw = tmp_path / "scene.fqc"
+        out = tmp_path / "analysis"
+        run_cli("synth", "--height", 64, "--width", 64, "--length", 3,
+                "--out", raw)
+        run_cli("analyze", "--input", raw, "--out-dir", out,
+                "--patch-size", 8)
+        jsonl = out / "decisions.jsonl"
+        lines = jsonl.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["reuse_set"] = [999]
+        jsonl.write_text(f"{lines[0]}\n{json.dumps(rec)}\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("masks", "--decisions", jsonl, "--out-dir",
+                    tmp_path / "masks")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {jsonl}:2: reuse_set holds 999, not a patch "
+            "index in [0, 64) of the 8x8 grid\n")
+        assert not (tmp_path / "masks").exists()
+
+    def test_frame_shape_change_prints_one_line(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        rng = np.random.default_rng(1)
+        for name, shape in [("a", (16, 16)), ("b", (16, 16)), ("c", (16, 8))]:
+            write_pgm(frames / f"{name}.pgm", rng.random(shape))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("analyze", "--input", frames, "--out-dir",
+                    tmp_path / "out", "--patch-size", 8)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "freqcache: error: step 2: frame shapes differ: (16, 16) vs "
+            "(16, 8)\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ("masks", "--decisions", "d.jsonl", "--out-dir", "m",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from freqcache import BudgetConfig, CacheConfig
+from freqcache import BudgetConfig, CacheConfig, run_sequence
+from freqcache import compare
 from freqcache.compare import compare_domains
 from freqcache.scenes import SceneSpec, generate_scene
 
@@ -65,7 +66,7 @@ def test_latency_consistent_with_reuse():
         assert stats["speedup"] >= 1.0
 
 
-def test_each_frame_is_embedded_once():
+def test_each_frame_is_embedded_once(monkeypatch):
     scene = generate_scene(
         SceneSpec(kind="translate", height=32, width=32, length=5, seed=4,
                   shift=(1, 2))
@@ -76,5 +77,20 @@ def test_each_frame_is_embedded_once():
         embedded.append(len(patches))
         return patches.reshape(len(patches), -1)
 
-    compare_domains(scene.frames, CacheConfig(patch_size=8), token_fn=spy)
+    monkeypatch.setattr(compare, "_raw_pixels", spy)
+    compare_domains(scene.frames, CacheConfig(patch_size=8))
     assert sum(embedded) == 5 * 16
+
+
+def test_freqcache_policy_equals_run_sequence():
+    scene = generate_scene(
+        SceneSpec(kind="edge-inject", height=96, width=96, length=12, seed=5,
+                  edge_count=6, patch_size=8)
+    )
+    cfg = CacheConfig(patch_size=8)
+    policy = compare_domains(scene.frames, cfg)["policies"]["freqcache"]
+    report = run_sequence(scene.frames, cfg)
+    assert report.mean_reuse_ratio > 0.0
+    assert policy["reuse_ratio"] == report.mean_reuse_ratio
+    assert policy["mean_latency_ms"] == report.mean_latency_ms
+    assert policy["speedup"] == report.speedup

@@ -532,6 +532,34 @@ class TestStep:
         assert len(calls) == 2
 
 
+class TestStream:
+    def test_equals_an_explicit_decide_step_loop(self):
+        base = textured(31, (64, 64))
+        frames = [np.roll(base, (8 * t, 0), axis=(0, 1)) for t in range(7)]
+        frames[3] = np.zeros((64, 64))  # flushes steps 3 and 4
+        cache = populate_cache(frames[0], 8, default_token_fn)
+        expected = []
+        for t in range(1, len(frames)):
+            d = decide(frames[t - 1], frames[t], CFG32, step=t)
+            cache, _ = step(cache, d, frames[t], default_token_fn)
+            expected.append((d, cache))
+        got = list(fusion.stream(frames, CFG32))
+        assert [d.flushed for d, _ in got] == [False, False, True, True,
+                                               False, False]
+        assert all(d.k_final > 0 for d, _ in got if not d.flushed)
+        assert len(got) == len(expected)
+        for (d, c), (d_ref, c_ref) in zip(got, expected):
+            assert d == d_ref
+            assert np.array_equal(c.tokens, c_ref.tokens)
+            assert np.array_equal(c.ages, c_ref.ages)
+
+    def test_rejected_frame_names_its_step(self):
+        frames = [textured(32), textured(33), np.full((32, 32), np.nan)]
+        with pytest.raises(ValueError, match="^step 2: frame contains "
+                                             "non-finite values$"):
+            list(fusion.stream(frames, CFG32))
+
+
 class TestRunSequence:
     def test_static_sequence_hits_budget_every_step(self):
         frames = [textured(23, (64, 64))] * 6

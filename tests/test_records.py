@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -51,4 +52,25 @@ def test_record_missing_a_key_names_file_and_line(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}:3: decision record lacks "
                                        "flushed, sim_freq, displacement")):
+        read_decisions_jsonl(path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("reuse_set", [999], "reuse_set holds 999, not a patch index in "
+     "[0, 16) of the 4x4 grid"),
+    ("refresh_set", [-1], "refresh_set holds -1, not a patch index in "
+     "[0, 16) of the 4x4 grid"),
+    ("reuse_set", [1.5], "reuse_set holds 1.5, not a patch index"),
+    ("reuse_set", 3, "reuse_set must be a list, got 3"),
+    ("grid", {"rows": 0, "cols": 4}, "grid must hold positive integer "
+     'rows and cols, got {"rows": 0, "cols": 4}'),
+    ("grid", {"rows": 4}, "grid must hold positive integer rows and cols"),
+], ids=["reuse-999", "refresh-negative", "float-index", "not-a-list",
+        "zero-rows", "no-cols"])
+def test_index_outside_the_grid_names_file_and_line(tmp_path, key, value,
+                                                    message):
+    rec = decision_record(_decision())
+    rec[key] = value
+    path = _decisions_file(tmp_path, json.dumps(rec))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
         read_decisions_jsonl(path)

@@ -62,7 +62,7 @@ def test_edge_labels_index_the_injected_patches():
     cols = 48 // 8
     background = generate_scene(
         SceneSpec(kind="edge-inject", height=48, width=48, length=9, seed=9,
-                  edge_count=5, patch_size=8, gradient_range=(0.15, 0.85))
+                  edge_count=5, patch_size=8)
     )
     final = scene.frames[-1]
     for idx in scene.edge_labels[-1]:
