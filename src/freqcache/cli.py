@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .bench import bench
 from .budget import BudgetConfig
-from .compare import compare_domains
+from .compare import check_cosine, compare_domains
 from .frame import PatchGrid
 from .frameio import export_masks, load_frames, save_rawf32
 from .fusion import CacheConfig, run_sequence
@@ -266,6 +266,9 @@ def cmd_masks(args, settings, t0):
 
 def cmd_compare(args, settings, t0):
     cfg = build_cache_config(settings)
+    for key in ("tau_visual", "tau_naive_freq"):
+        with settings.blame(key):
+            check_cosine(key, settings[key])
     if args.input:
         frames = _load_input(args, settings)
         labels = None

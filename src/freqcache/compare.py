@@ -11,6 +11,8 @@ Policies:
 
 Each policy reports its mean reuse ratio, how often it reused a
 ground-truth edge patch (when labels are available), and modeled latency.
+``freqcache`` reads only :func:`fusion.stream`'s decisions; both baselines
+read one block view of each frame.
 """
 
 import numpy as np
@@ -21,13 +23,18 @@ from .fusion import DEFAULT_COST_MODEL, stream
 from .migration import _position_cosines
 
 
-def _raw_pixels(patches):
-    return patches.reshape(len(patches), -1)
+def check_cosine(name, value):
+    """Raise ValueError unless ``value`` is a cosine threshold in [-1, 1]."""
+    if not -1.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a cosine in [-1, 1], got {value}")
 
 
-def _patch_amplitudes(grid, frame):
-    spectra = scipy.fft.fft2(grid.blocks(frame), axes=(-2, -1))
-    return np.abs(spectra).reshape(grid.n_patches, -1)
+def _baseline_tokens(blocks):
+    """Raw pixels (visual) and amplitude spectra (naive_freq) of a (rows,
+    cols, P, P) block view, one row per patch."""
+    pixels = blocks.reshape(-1, blocks.shape[-1] ** 2)
+    spectra = scipy.fft.fft2(blocks, axes=(-2, -1))
+    return pixels, np.abs(spectra).reshape(pixels.shape)
 
 
 def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
@@ -38,8 +45,14 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     ``edge_labels`` is an optional per-frame sequence of ground-truth edge
     patch indices; without it the false-reuse counts are reported as None.
     The visual baseline embeds patches as raw intensity vectors, which is
-    exactly the position-wise matching it stands for.
+    exactly the position-wise matching it stands for. A threshold outside
+    [-1, 1] (NaN too) or fewer than two frames raise ValueError first.
     """
+    thresholds = {"tau_visual": tau_visual, "tau_naive_freq": tau_naive_freq}
+    for name, tau in thresholds.items():
+        check_cosine(name, tau)
+    if len(frames) < 2:
+        raise ValueError("need at least 2 frames")
     grid = PatchGrid(frames[0], cfg.patch_size)
     n = grid.n_patches
     have_labels = edge_labels is not None
@@ -48,17 +61,13 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     reused = {name: [] for name in names}
     false_reuse = dict.fromkeys(names, 0)
 
-    # Each frame is embedded and transformed once; its results serve as
-    # ``curr`` for one step and ``prev`` for the next.
-    prev_tokens = grid.tokens(_raw_pixels)
-    prev_amps = _patch_amplitudes(grid, frames[0])
-    for decision, _ in stream(frames, cfg):
+    # A frame's tokens are ``curr`` for one step and ``prev`` for the next.
+    prev = _baseline_tokens(grid.blocks())
+    for decision in stream(frames, cfg):
         t = decision.step
-        curr_tokens = grid.tokens(_raw_pixels, frame=frames[t])
-        curr_amps = _patch_amplitudes(grid, frames[t])
-        visual_cos = _position_cosines(prev_tokens, curr_tokens)
-        naive_cos = _position_cosines(prev_amps, curr_amps)
-        prev_tokens, prev_amps = curr_tokens, curr_amps
+        curr = _baseline_tokens(grid.blocks(frames[t]))
+        visual_cos, naive_cos = map(_position_cosines, prev, curr)
+        prev = curr
         sets = {
             "freqcache": set(decision.reuse_set),
             "visual": set(np.flatnonzero(visual_cos > tau_visual)),
@@ -82,7 +91,6 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
         "n_steps": len(frames) - 1,
         "n_tokens": n,
         "baseline_latency_ms": DEFAULT_COST_MODEL.latency_ms(n),
-        "thresholds": {"tau_visual": tau_visual,
-                       "tau_naive_freq": tau_naive_freq},
+        "thresholds": thresholds,
         "policies": policies,
     }

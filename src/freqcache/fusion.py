@@ -400,32 +400,23 @@ def step(cache, decision, curr, token_fn):
 
 
 def stream(frames, cfg):
-    """Yield ``(decision, cache)`` for steps 1 .. T-1 of ``frames``.
-
-    The cache cold-starts from ``frames[0]`` with :func:`default_token_fn`;
-    each step runs :func:`decide` on its frame pair, then applies the
-    decision with :func:`step`. A frame that ``decide`` rejects raises
-    ValueError naming its step.
+    """Yield :func:`decide`'s decision for each step 1 .. T-1 of ``frames``;
+    a frame it rejects raises ValueError naming its step. A caller with a
+    token function applies them with :func:`populate_cache` and :func:`step`.
     """
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
-    cache = populate_cache(frames[0], cfg.patch_size, default_token_fn)
     for t in range(1, len(frames)):
         try:
             decision = decide(frames[t - 1], frames[t], cfg, step=t)
         except ValueError as exc:
             raise ValueError(f"step {t}: {exc}") from None
-        cache, _ = step(cache, decision, frames[t], default_token_fn)
-        yield decision, cache
+        yield decision
 
 
 @dataclass
 class SequenceReport:
-    """Aggregate metrics over the decision steps of a sequence.
-
-    The cold start (step 0, all tokens computed) is excluded from the
-    aggregates; decisions cover steps 1 .. T-1.
-    """
+    """Aggregate metrics over the decision steps 1 .. T-1 of a sequence."""
 
     n_frames: int
     n_tokens: int
@@ -439,7 +430,7 @@ class SequenceReport:
 
 def run_sequence(frames, cfg):
     """Fold :func:`stream` over consecutive frames into aggregate metrics."""
-    decisions = [d for d, _ in stream(frames, cfg)]
+    decisions = list(stream(frames, cfg))
     n = decisions[0].rows * decisions[0].cols
     reuse_ratio, mean_latency, speedup = DEFAULT_COST_MODEL.summary(
         [d.k_final for d in decisions], n)

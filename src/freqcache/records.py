@@ -60,12 +60,14 @@ def read_decisions_jsonl(path):
     """The records of a decisions JSONL file, skipping blank lines.
 
     A line that is not a JSON object holding every key in
-    :data:`RECORD_KEYS`, whose ``grid`` is not positive integer ``rows`` and
+    :data:`RECORD_KEYS`, whose ``step`` is not a non-negative integer unique
+    in the file, whose ``grid`` is not positive integer ``rows`` and
     ``cols``, or whose ``reuse_set`` or ``refresh_set`` holds anything but
     patch indices of that grid, raises ValueError starting with
     ``path:line:``.
     """
     records = []
+    step_lines = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -82,7 +84,15 @@ def read_decisions_jsonl(path):
             if missing:
                 raise ValueError(f"{path}:{lineno}: decision record lacks "
                                  f"{', '.join(missing)}")
+            step = rec["step"]
+            if not (type(step) is int and step >= 0):
+                raise ValueError(f"{path}:{lineno}: step must be a "
+                                 f"non-negative integer, got {json.dumps(step)}")
             _check_indices(rec, f"{path}:{lineno}")
+            if step in step_lines:
+                raise ValueError(f"{path}:{lineno}: step {step} repeats line "
+                                 f"{step_lines[step]}")
+            step_lines[step] = lineno
             records.append(rec)
     return records
 

@@ -155,6 +155,47 @@ class TestUsageErrors:
             "index in [0, 64) of the 8x8 grid\n")
         assert not (tmp_path / "masks").exists()
 
+    def test_repeated_step_prints_one_line(self, tmp_path, capsys):
+        raw = tmp_path / "scene.fqc"
+        out = tmp_path / "analysis"
+        run_cli("synth", "--height", 64, "--width", 64, "--length", 3,
+                "--out", raw)
+        run_cli("analyze", "--input", raw, "--out-dir", out,
+                "--patch-size", 8)
+        jsonl = out / "decisions.jsonl"
+        first = jsonl.read_text().splitlines()[0]
+        jsonl.write_text(f"{first}\n{first}\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("masks", "--decisions", jsonl, "--out-dir",
+                    tmp_path / "masks")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {jsonl}:2: step 1 repeats line 1\n")
+        assert not (tmp_path / "masks").exists()
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ("", ("--tau-visual", "nan"),
+         "tau_visual must be a cosine in [-1, 1], got nan"),
+        ("tau-naive-freq = 1.5", (),
+         "{cfg}:2: tau_naive_freq must be a cosine in [-1, 1], got 1.5"),
+        ("tau-visual = 2", ("--tau-visual", "-0.5", "--tau-naive-freq", "-2"),
+         "tau_naive_freq must be a cosine in [-1, 1], got -2.0"),
+    ])
+    def test_compare_threshold_that_is_not_a_cosine_prints_one_line(
+            self, tmp_path, capsys, config, flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{config}\n")
+        out = tmp_path / "compare"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("compare", "--height", 32, "--width", 32, "--length", 3,
+                    "--patch-size", 8, "--out-dir", out, "--config", cfg,
+                    *flags)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {message.format(cfg=cfg)}\n")
+        assert not out.exists()
+
     def test_frame_shape_change_prints_one_line(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         frames.mkdir()

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from freqcache import BudgetConfig, CacheConfig, run_sequence
-from freqcache import compare
+from freqcache import PatchGrid
 from freqcache.compare import compare_domains
 from freqcache.scenes import SceneSpec, generate_scene
 
@@ -71,15 +73,16 @@ def test_each_frame_is_embedded_once(monkeypatch):
         SceneSpec(kind="translate", height=32, width=32, length=5, seed=4,
                   shift=(1, 2))
     )
-    embedded = []
+    cut = []
+    real = PatchGrid.blocks
 
-    def spy(patches):
-        embedded.append(len(patches))
-        return patches.reshape(len(patches), -1)
+    def spy(self, frame=None):
+        cut.append(frame)
+        return real(self, frame)
 
-    monkeypatch.setattr(compare, "_raw_pixels", spy)
+    monkeypatch.setattr(PatchGrid, "blocks", spy)
     compare_domains(scene.frames, CacheConfig(patch_size=8))
-    assert sum(embedded) == 5 * 16
+    assert len(cut) == 5
 
 
 def test_freqcache_policy_equals_run_sequence():
@@ -94,3 +97,20 @@ def test_freqcache_policy_equals_run_sequence():
     assert policy["reuse_ratio"] == report.mean_reuse_ratio
     assert policy["mean_latency_ms"] == report.mean_latency_ms
     assert policy["speedup"] == report.speedup
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tau_visual", float("nan")), ("tau_naive_freq", 1.5),
+    ("tau_visual", -1.01),
+])
+def test_threshold_that_is_not_a_cosine_is_rejected(key, value):
+    frames = [np.ones((16, 16))] * 2
+    with pytest.raises(ValueError, match=re.escape(
+            f"{key} must be a cosine in [-1, 1], got {value}")):
+        compare_domains(frames, CacheConfig(patch_size=8), **{key: value})
+
+
+@pytest.mark.parametrize("frames", [[], [np.ones((16, 16))]])
+def test_needs_two_frames(frames):
+    with pytest.raises(ValueError, match="^need at least 2 frames$"):
+        compare_domains(frames, CacheConfig(patch_size=8))

@@ -34,8 +34,10 @@ from freqcache import (
     step,
     topk_ascending,
 )
-from freqcache import fusion, spectral
+from freqcache import cli, fusion, spectral
 from freqcache.bench import bench
+from freqcache.compare import compare_domains
+from freqcache.frameio import save_rawf32
 from freqcache.records import decision_record
 
 from oracles import assert_decision_equivalence, decide_reference
@@ -135,7 +137,7 @@ class TestDecide:
         d4 = decide(frame, frame * 1e-170, CFG32)
         assert d4.flushed and d4.diagnostic == "degenerate spectrum"
         # the constant frame comes back as the carried-over prev
-        for d in stream([frame, np.full((32, 32), 0.5), frame], CFG32):
+        for d in fusion.stream([frame, np.full((32, 32), 0.5), frame], CFG32):
             assert d.flushed
             assert d.diagnostic == "no texture; displacement undefined"
             assert d.k_reuse > 0
@@ -180,11 +182,6 @@ def in_fresh_thread(fn, *args, **kwargs):
     return out["value"]
 
 
-def stream(frames, cfg):
-    return [decide(frames[t - 1], frames[t], cfg, step=t)
-            for t in range(1, len(frames))]
-
-
 class TestSpectrumCarryOver:
     def test_buffer_rewritten_in_place_matches_fresh_process(self):
         a, b, c = textured(40), textured(41), np.roll(textured(41), (3, 5), (0, 1))
@@ -222,7 +219,7 @@ class TestSpectrumCarryOver:
             frames.append(np.roll(frames[-1], (2, -3), axis=(0, 1)))
         cold = [in_fresh_thread(decide, frames[t - 1], frames[t], CFG32, step=t)
                 for t in range(1, len(frames))]
-        assert in_fresh_thread(stream, frames, CFG32) == cold
+        assert in_fresh_thread(lambda: list(fusion.stream(frames, CFG32))) == cold
 
     def test_interleaved_threads_match_running_alone(self, monkeypatch):
         # Equal shapes, then shapes whose scratch regions differ in size.
@@ -237,7 +234,8 @@ class TestSpectrumCarryOver:
             for _ in range(6):
                 frames.append(np.roll(frames[-1], shift, axis=(0, 1)))
             sequences.append(frames)
-        alone = [in_fresh_thread(stream, frames, CFG32) for frames in sequences]
+        alone = [in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
+                 for frames in sequences]
 
         calls = []
         real = scipy.fft.rfft2
@@ -315,7 +313,7 @@ def stage_results(frames, patch_size):
     prev, curr = frames[-2], frames[-1]
     spec_prev, spec_curr = scipy.fft.rfft2(prev), scipy.fft.rfft2(curr)
     weights = spectral.hermitian_weights(curr.shape[1])
-    return (stream(frames, cfg),
+    return (list(fusion.stream(frames, cfg)),
             phase_correlation_spectra(spec_prev, spec_curr, curr.shape, patch_size),
             spectral_entropy(np.abs(spec_curr), weights),
             patch_energy(PatchGrid(curr, patch_size)).energies)
@@ -537,27 +535,34 @@ class TestStream:
         base = textured(31, (64, 64))
         frames = [np.roll(base, (8 * t, 0), axis=(0, 1)) for t in range(7)]
         frames[3] = np.zeros((64, 64))  # flushes steps 3 and 4
-        cache = populate_cache(frames[0], 8, default_token_fn)
-        expected = []
-        for t in range(1, len(frames)):
-            d = decide(frames[t - 1], frames[t], CFG32, step=t)
-            cache, _ = step(cache, d, frames[t], default_token_fn)
-            expected.append((d, cache))
+        expected = [decide(frames[t - 1], frames[t], CFG32, step=t)
+                    for t in range(1, len(frames))]
         got = list(fusion.stream(frames, CFG32))
-        assert [d.flushed for d, _ in got] == [False, False, True, True,
-                                               False, False]
-        assert all(d.k_final > 0 for d, _ in got if not d.flushed)
-        assert len(got) == len(expected)
-        for (d, c), (d_ref, c_ref) in zip(got, expected):
-            assert d == d_ref
-            assert np.array_equal(c.tokens, c_ref.tokens)
-            assert np.array_equal(c.ages, c_ref.ages)
+        assert [d.flushed for d in got] == [False, False, True, True,
+                                            False, False]
+        assert all(d.k_final > 0 for d in got if not d.flushed)
+        assert got == expected
 
     def test_rejected_frame_names_its_step(self):
         frames = [textured(32), textured(33), np.full((32, 32), np.nan)]
         with pytest.raises(ValueError, match="^step 2: frame contains "
                                              "non-finite values$"):
             list(fusion.stream(frames, CFG32))
+
+    def test_decisions_need_no_token_path(self, monkeypatch, tmp_path):
+        def token_path(*args, **kwargs):
+            raise AssertionError("the token path ran")
+
+        for name in ("step", "populate_cache", "default_token_fn"):
+            monkeypatch.setattr(fusion, name, token_path)
+        frames = [np.roll(textured(34, (64, 64)), (3 * t, 5 * t), axis=(0, 1))
+                  for t in range(4)]
+        assert run_sequence(frames, CFG32).mean_reuse_ratio > 0.0
+        compare_domains(frames, CFG32)
+        raw = tmp_path / "scene.fqc"
+        save_rawf32(raw, frames)
+        assert cli.main(["analyze", "--input", str(raw), "--out-dir",
+                         str(tmp_path / "out"), "--patch-size", "8"]) == 0
 
 
 class TestRunSequence:

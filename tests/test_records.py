@@ -65,8 +65,10 @@ def test_record_missing_a_key_names_file_and_line(tmp_path):
     ("grid", {"rows": 0, "cols": 4}, "grid must hold positive integer "
      'rows and cols, got {"rows": 0, "cols": 4}'),
     ("grid", {"rows": 4}, "grid must hold positive integer rows and cols"),
+    ("step", "1", 'step must be a non-negative integer, got "1"'),
+    ("step", True, "step must be a non-negative integer, got true"),
 ], ids=["reuse-999", "refresh-negative", "float-index", "not-a-list",
-        "zero-rows", "no-cols"])
+        "zero-rows", "no-cols", "string-step", "bool-step"])
 def test_index_outside_the_grid_names_file_and_line(tmp_path, key, value,
                                                     message):
     rec = decision_record(_decision())

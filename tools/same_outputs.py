@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Check that two revisions write the same outputs, byte for byte.
+
+    python3 tools/same_outputs.py --parent REV --change REV
+
+Exports each revision with ``git archive`` into a temporary directory and
+runs its CLI (``python -m freqcache`` with that revision's ``src`` first on
+``PYTHONPATH``) on each scene of ``SCENES``: the criterion-7 chain
+``synth``, ``analyze``, ``masks``, then ``compare`` from the scene flags and
+from ``--input``. Every command runs in the scene's output directory with
+relative paths, so its stdout names the same files on both sides; each
+stdout is saved next to the outputs. Then every file of the two output
+trees is compared byte for byte, except manifests, which hold wall-clock
+times. Prints one line per difference and exits 1 if there is any, 0 if
+none. A revision that is not a commit, or a command that fails on either
+side, stops the check with status 2.
+Uses the standard library only.
+"""
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+# name: (synth and compare scene flags, patch size). The first is the
+# criterion-7 scene.
+SCENES = {
+    "translate-64-p8": (["--kind", "translate", "--height", "64", "--width",
+                         "64", "--length", "8", "--seed", "21",
+                         "--shift-i", "3", "--shift-j", "5"], 8),
+    "edge-inject-96-p8": (["--kind", "edge-inject", "--height", "96",
+                           "--width", "96", "--length", "12", "--seed", "5",
+                           "--edge-count", "6"], 8),
+    "complexity-ramp-64-p16": (["--kind", "complexity-ramp", "--height", "64",
+                                "--width", "64", "--length", "12",
+                                "--seed", "11"], 16),
+    "static-112-p8": (["--kind", "static", "--height", "112", "--width",
+                       "112", "--length", "8", "--seed", "7"], 8),
+}
+
+
+def git(*args):
+    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
+
+
+def fail(message):
+    """Stop with status 2, which no comparison result uses."""
+    print(f"same_outputs: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def commit(rev):
+    try:
+        return git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    except subprocess.CalledProcessError:
+        fail(f"{rev} is not a commit of this repository")
+
+
+def export(rev, dest):
+    """The files of ``rev`` under ``dest``, without ``.git``."""
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def commands(scene, patch_size):
+    """``(name, argv)`` of each CLI run on one scene, in order."""
+    p = ["--patch-size", str(patch_size)]
+    return [
+        ("synth", ["synth", *scene, *p, "--out", "scene.fqc"]),
+        ("analyze", ["analyze", "--input", "scene.fqc", *p,
+                     "--out-dir", "analysis"]),
+        ("masks", ["masks", "--decisions", "analysis/decisions.jsonl",
+                   "--out-dir", "masks"]),
+        ("compare-scene", ["compare", *scene, *p, "--out-dir",
+                           "compare-scene"]),
+        ("compare-input", ["compare", "--input", "scene.fqc", *p,
+                           "--out-dir", "compare-input"]),
+    ]
+
+
+def run_side(tree, out):
+    """Run every scene's commands with ``tree``'s package, outputs under
+    ``out``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for name, (scene, patch_size) in SCENES.items():
+        cwd = out / name
+        (cwd / "stdout").mkdir(parents=True)
+        for i, (label, argv) in enumerate(commands(scene, patch_size)):
+            proc = subprocess.run([sys.executable, "-m", "freqcache", *argv],
+                                  cwd=cwd, env=env, stdin=subprocess.DEVNULL,
+                                  capture_output=True)
+            if proc.returncode != 0:
+                fail(f"{label} on {name} in {tree} exited with "
+                     f"{proc.returncode}:\n{proc.stderr.decode(errors='replace')}")
+            (cwd / "stdout" / f"{i}-{label}.txt").write_bytes(proc.stdout)
+
+
+def outputs(root):
+    """Relative paths of every file under ``root`` but manifests."""
+    return {p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.is_file() and not p.name.endswith("manifest.json")}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    args = parser.parse_args(argv)
+
+    revs = {side: commit(rev)
+            for side, rev in zip(SIDES, (args.parent, args.change))}
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        work = Path(tmp)
+        for side in SIDES:
+            export(revs[side], work / side / "tree")
+            run_side(work / side / "tree", work / side / "out")
+        roots = {side: work / side / "out" for side in SIDES}
+        files = {side: outputs(roots[side]) for side in SIDES}
+        differ = []
+        for path in sorted(files["parent"] ^ files["change"]):
+            side = "parent" if path in files["parent"] else "change"
+            differ.append(f"only in {side}: {path}")
+        for path in sorted(files["parent"] & files["change"]):
+            if ((roots["parent"] / path).read_bytes()
+                    != (roots["change"] / path).read_bytes()):
+                differ.append(f"differs: {path}")
+    for line in differ:
+        print(f"same_outputs: {line}")
+    same = len(files["parent"] & files["change"]) - sum(
+        line.startswith("differs") for line in differ)
+    print(f"same_outputs: {revs['parent'][:12]} vs {revs['change'][:12]}: "
+          f"{same} file(s) byte-identical, {len(differ)} difference(s) over "
+          f"{len(SCENES)} scenes")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
