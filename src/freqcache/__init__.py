@@ -9,20 +9,9 @@ alignment, block-DCT edge energy, and an entropy-adaptive reuse budget.
 __version__ = "0.1.0"
 
 from .budget import BudgetConfig, EntropyReading, reuse_budget, spectral_entropy
-from .edge_refresh import (
-    EnergyMap,
-    RefreshMask,
-    cutoff_index,
-    patch_energy,
-    refresh_mask,
-)
-from .errors import (
-    ConstantFrameError,
-    DegenerateSpectrumError,
-    FrameParseError,
-    InvariantError,
-)
-from .frame import PatchGrid, per_patch, validate_frame
+from .edge_refresh import cutoff_index, patch_energy, refresh_mask
+from .errors import DegenerateSpectrumError, FrameParseError, InvariantError
+from .frame import PatchGrid, validate_frame
 from .fusion import (
     DEFAULT_COST_MODEL,
     CacheConfig,
@@ -41,13 +30,9 @@ from .fusion import (
 )
 from .migration import (
     Displacement,
-    GateAction,
     alignment_mask,
-    migration_gate,
-    phase_correlation,
     phase_correlation_spectra,
     sim_freq,
-    sim_spatial,
 )
 from .scenes import SCENE_KINDS, Scene, SceneSpec, generate_scene
 
@@ -56,18 +41,14 @@ __all__ = [
     "BudgetConfig",
     "CacheConfig",
     "CacheDecision",
-    "ConstantFrameError",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "DegenerateSpectrumError",
     "Displacement",
-    "EnergyMap",
     "EntropyReading",
     "FrameParseError",
-    "GateAction",
     "InvariantError",
     "PatchGrid",
-    "RefreshMask",
     "SCENE_KINDS",
     "Scene",
     "SceneSpec",
@@ -79,17 +60,13 @@ __all__ = [
     "decide",
     "default_token_fn",
     "generate_scene",
-    "migration_gate",
     "patch_energy",
-    "per_patch",
-    "phase_correlation",
     "phase_correlation_spectra",
     "populate_cache",
     "refresh_mask",
     "reuse_budget",
     "run_sequence",
     "sim_freq",
-    "sim_spatial",
     "spectral_entropy",
     "step",
     "stream",

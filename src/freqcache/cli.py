@@ -297,7 +297,7 @@ def cmd_compare(args, settings, t0):
 def cmd_bench(args, settings, t0):
     cfg = build_cache_config(settings)
     result = bench(cfg, args.height, args.width, iterations=args.iterations,
-                   warmup=args.warmup, seed=settings["seed"])
+                   seed=settings["seed"])
     print(json.dumps(result, indent=2))
     if args.out:
         out = Path(args.out)
@@ -349,7 +349,6 @@ def build_parser():
     bench_p.add_argument("--height", type=int, default=224)
     bench_p.add_argument("--width", type=int, default=224)
     bench_p.add_argument("--iterations", type=int, default=100)
-    bench_p.add_argument("--warmup", type=int, default=5)
     bench_p.add_argument("--out")
 
     return parser

@@ -12,7 +12,8 @@ Policies:
 Each policy reports its mean reuse ratio, how often it reused a
 ground-truth edge patch (when labels are available), and modeled latency.
 ``freqcache`` reads only :func:`fusion.stream`'s decisions; both baselines
-read one block view of each frame.
+compare each patch with the patch at the same grid position of the previous
+frame, read from one block view of each frame.
 """
 
 import numpy as np
@@ -20,13 +21,24 @@ import scipy.fft
 
 from .frame import PatchGrid
 from .fusion import DEFAULT_COST_MODEL, stream
-from .migration import _position_cosines
 
 
 def check_cosine(name, value):
     """Raise ValueError unless ``value`` is a cosine threshold in [-1, 1]."""
     if not -1.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a cosine in [-1, 1], got {value}")
+
+
+def _position_cosines(prev_vecs, curr_vecs):
+    """Row-wise cosine of two (n, d) stacks; zero-norm rows score 0."""
+    num = np.einsum("nd,nd->n", prev_vecs, curr_vecs)
+    norm_p = np.linalg.norm(prev_vecs, axis=1)
+    norm_c = np.linalg.norm(curr_vecs, axis=1)
+    denom = norm_p * norm_c
+    out = np.zeros(prev_vecs.shape[0])
+    ok = denom > 0.0
+    out[ok] = num[ok] / denom[ok]
+    return out
 
 
 def _baseline_tokens(blocks):
@@ -45,7 +57,8 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     ``edge_labels`` is an optional per-frame sequence of ground-truth edge
     patch indices; without it the false-reuse counts are reported as None.
     The visual baseline embeds patches as raw intensity vectors, which is
-    exactly the position-wise matching it stands for. A threshold outside
+    exactly the position-wise matching it stands for; a patch with no
+    energy in either frame (all zero) scores cosine 0. A threshold outside
     [-1, 1] (NaN too) or fewer than two frames raise ValueError first.
     """
     thresholds = {"tau_visual": tau_visual, "tau_naive_freq": tau_naive_freq}
@@ -65,7 +78,7 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     prev = _baseline_tokens(grid.blocks())
     for decision in stream(frames, cfg):
         t = decision.step
-        curr = _baseline_tokens(grid.blocks(frames[t]))
+        curr = _baseline_tokens(PatchGrid(frames[t], cfg.patch_size).blocks())
         visual_cos, naive_cos = map(_position_cosines, prev, curr)
         prev = curr
         sets = {

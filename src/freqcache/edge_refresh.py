@@ -1,8 +1,11 @@
-"""Per-patch high-frequency energy and the statistical refresh mask."""
+"""Per-patch high-frequency energy and the statistical refresh mask.
+
+Both are plain (rows, cols) arrays: ``decide`` recomputes every patch the
+mask flags and ranks the other reuse candidates by ascending energy.
+"""
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,25 +15,6 @@ from .spectral import scratch
 def cutoff_index(patch_size):
     """Low-frequency cutoff for a P x P coefficient grid: max(1, P // 4)."""
     return max(1, int(patch_size) // 4)
-
-
-@dataclass(frozen=True)
-class EnergyMap:
-    """High-frequency energy per patch, rows x cols, all entries >= 0."""
-
-    energies: np.ndarray
-    patch_size: int
-    cutoff: int
-
-
-@dataclass(frozen=True)
-class RefreshMask:
-    """Boolean patch mask with the statistics that produced it."""
-
-    mask: np.ndarray
-    mean_energy: float
-    std_energy: float
-    sensitivity: float
 
 
 @functools.cache
@@ -47,7 +31,8 @@ def _dct_rows(p, c):
 
 
 def patch_energy(grid):
-    """High-frequency energy of every patch in the grid.
+    """High-frequency energy of every patch in the grid, as a (rows, cols)
+    array of nonnegative values.
 
     The energy of a patch B is the sum of its squared orthonormal DCT-II
     coefficients outside the low-frequency c x c corner. Since the DCT is
@@ -76,18 +61,18 @@ def patch_energy(grid):
     hi = x.max(axis=1).reshape(rows, cols, p).max(axis=2)
     lo = x.min(axis=1).reshape(rows, cols, p).min(axis=2)
     energies[hi == lo] = 0.0
-    return EnergyMap(energies, p, c)
+    return energies
 
 
-def refresh_mask(energy, sensitivity):
-    """Flag patches whose energy exceeds mean + sensitivity * std.
+def refresh_mask(energies, sensitivity):
+    """Boolean mask of the patches whose energy exceeds mean + sensitivity *
+    std, shaped like ``energies``.
 
     Statistics are population (divide-by-N) moments over all patches, so an
     all-equal energy map has zero spread and the strict inequality flags
     nothing.
     """
-    e = energy.energies
-    mu = float(e.mean())
-    sigma = float(e.std())
+    mu = float(energies.mean())
+    sigma = float(energies.std())
     threshold = mu + float(sensitivity) * sigma
-    return RefreshMask(e > threshold, mu, sigma, float(sensitivity))
+    return energies > threshold

@@ -5,10 +5,6 @@ class DegenerateSpectrumError(ValueError):
     """An amplitude grid carries no energy, so spectral statistics are undefined."""
 
 
-class ConstantFrameError(ValueError):
-    """A frame has no texture, so displacement estimation is undefined."""
-
-
 class InvariantError(RuntimeError):
     """A decision or cache update broke one of the pipeline's own invariants."""
 

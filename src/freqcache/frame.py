@@ -58,39 +58,23 @@ class PatchGrid:
     def n_patches(self):
         return self.rows * self.cols
 
-    def _resolve(self, frame):
-        if frame is None:
-            return self.frame
-        frame = validate_frame(frame)
-        if frame.shape != self.frame.shape:
-            raise ValueError(
-                f"frame shape {frame.shape} does not match grid shape "
-                f"{self.frame.shape}"
-            )
-        return frame
-
-    def patch(self, i, j, frame=None):
-        f = self._resolve(frame)
-        p = self.patch_size
-        return f[i * p:(i + 1) * p, j * p:(j + 1) * p]
-
-    def blocks(self, frame=None):
+    def blocks(self):
         """All patches as a (rows, cols, P, P) view."""
-        f = self._resolve(frame)
         p = self.patch_size
-        return f.reshape(self.rows, p, self.cols, p).swapaxes(1, 2)
+        return self.frame.reshape(self.rows, p, self.cols, p).swapaxes(1, 2)
 
-    def tokens(self, token_fn, indices=None, frame=None):
+    def tokens(self, token_fn, indices=None):
         """Token vectors of the listed patches as a (k, dim) float64 array.
 
         ``indices`` are row-major patch indices (default: every patch in
         order). ``token_fn`` takes a (k, P, P) stack of patches and returns
         k * dim values, read as (k, dim); it is called on consecutive chunks
         of at most ``TOKEN_CHUNK_PIXELS // P**2`` patches (at least one),
-        never on an empty stack. Wrap a callable that takes one (P, P) patch
-        at a time in :func:`per_patch`. An empty list gives shape (0, 0).
+        never on an empty stack. A function of one (P, P) patch applies over
+        the stack as ``lambda ps: np.stack([fn(p) for p in ps])``. An empty
+        list gives shape (0, 0).
         """
-        blocks = self.blocks(frame)
+        blocks = self.blocks()
         if indices is None:
             indices = np.arange(self.n_patches)
         indices = np.asarray(indices, dtype=np.intp).ravel()
@@ -110,7 +94,3 @@ class PatchGrid:
             vecs.append(out.reshape(i.size, -1))
         return np.concatenate(vecs) if vecs else np.empty((0, 0))
 
-
-def per_patch(fn):
-    """Adapt a token function of one (P, P) patch to the batched contract."""
-    return lambda patches: np.stack([np.ravel(fn(p)) for p in patches])

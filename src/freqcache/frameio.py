@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import FrameParseError
 from .frame import validate_frame
-from .records import decision_record
 
 RAWF32_MAGIC = b"FQC1"
 RAWF32_HEADER = 16
@@ -181,18 +180,17 @@ MASK_EDGE_RECOMPUTE = 128
 MASK_RECOMPUTE = 0
 
 
-def export_masks(decisions, out_dir):
-    """Write one patch-resolution PGM per decision.
+def export_masks(records, out_dir):
+    """Write one patch-resolution PGM per decision record (the dicts of
+    ``decisions.jsonl``).
 
     Reused patches render 255, edge-forced recomputes 128, everything else
-    0; flushed steps render all-zero. Accepts decision objects or JSONL
-    dicts. Returns the written paths.
+    0; flushed steps render all-zero. Returns the written paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for d in decisions:
-        rec = d if isinstance(d, dict) else decision_record(d)
+    for rec in records:
         rows = rec["grid"]["rows"]
         cols = rec["grid"]["cols"]
         img = np.zeros((rows, cols), dtype=np.uint8)

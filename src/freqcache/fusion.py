@@ -16,9 +16,7 @@ from .errors import InvariantError
 from .frame import PatchGrid, validate_frame
 from .migration import (
     Displacement,
-    GateAction,
     alignment_mask,
-    migration_gate,
     phase_correlation_spectra,
     sim_freq,
 )
@@ -257,21 +255,20 @@ def decide(prev, curr, cfg, *, step=0):
         timings["budget"] = (time.perf_counter_ns() - t0) // 1000
 
     t0 = time.perf_counter_ns()
-    energy = patch_energy(grid)
-    fresh = refresh_mask(energy, cfg.edge_lambda)
+    energies = patch_energy(grid)
+    fresh = refresh_mask(energies, cfg.edge_lambda)
     timings["edge"] = (time.perf_counter_ns() - t0) // 1000
-    refresh_set = tuple(np.flatnonzero(fresh.mask.ravel()).tolist())
+    refresh_set = tuple(np.flatnonzero(fresh.ravel()).tolist())
 
     # Synchronization point: all three analyses have completed.
     t_sel = time.perf_counter_ns()
-    flushed = (diagnostic is not None
-               or migration_gate(sim, cfg.tau_mig) is GateAction.FLUSH)
+    flushed = diagnostic is not None or sim < cfg.tau_mig
     k_candidate, k_final, reuse = 0, 0, ()
     if not flushed:
-        candidate_idx = np.flatnonzero((align & ~fresh.mask).ravel())
+        candidate_idx = np.flatnonzero((align & ~fresh).ravel())
         k_candidate = int(candidate_idx.size)
         k_final = min(k_reuse, k_candidate)
-        reuse = topk_ascending(candidate_idx, energy.energies, k_final)
+        reuse = topk_ascending(candidate_idx, energies, k_final)
     keep = np.ones(n, dtype=bool)
     keep[list(reuse)] = False
     recompute = tuple(np.flatnonzero(keep).tolist())
@@ -296,7 +293,7 @@ def decide(prev, curr, cfg, *, step=0):
         timings_us=timings,
     )
     t0 = time.perf_counter_ns()
-    _check_decision(decision, align, fresh.mask, n)
+    _check_decision(decision, align, fresh, n)
     timings["check"] = (time.perf_counter_ns() - t0) // 1000
     return decision
 
@@ -422,8 +419,6 @@ class SequenceReport:
     n_tokens: int
     decisions: list
     mean_reuse_ratio: float
-    mean_latency_ms: float
-    baseline_latency_ms: float
     speedup: float
     flush_count: int
 
@@ -432,15 +427,13 @@ def run_sequence(frames, cfg):
     """Fold :func:`stream` over consecutive frames into aggregate metrics."""
     decisions = list(stream(frames, cfg))
     n = decisions[0].rows * decisions[0].cols
-    reuse_ratio, mean_latency, speedup = DEFAULT_COST_MODEL.summary(
+    reuse_ratio, _, speedup = DEFAULT_COST_MODEL.summary(
         [d.k_final for d in decisions], n)
     return SequenceReport(
         n_frames=len(frames),
         n_tokens=n,
         decisions=decisions,
         mean_reuse_ratio=reuse_ratio,
-        mean_latency_ms=mean_latency,
-        baseline_latency_ms=DEFAULT_COST_MODEL.latency_ms(n),
         speedup=speedup,
         flush_count=sum(d.flushed for d in decisions),
     )

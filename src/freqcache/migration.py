@@ -1,15 +1,17 @@
-"""Scene-transition gating, displacement recovery, and alignment masking."""
+"""Spectral similarity, displacement recovery, and alignment masking.
+
+``decide`` flushes a step whose :func:`sim_freq` falls below ``tau_mig``;
+otherwise :func:`phase_correlation_spectra` recovers the shift and
+:func:`alignment_mask` marks the patches whose source is still in view.
+"""
 
 import math
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.fft
 
-from .errors import ConstantFrameError, DegenerateSpectrumError
-from .frame import validate_frame
+from .errors import DegenerateSpectrumError
 from .spectral import bin_dot, scratch
 
 # Added to the cross-power magnitude so dead bins do not divide by zero.
@@ -47,50 +49,6 @@ def _to_patch_units(d, patch_size):
     return sign * ((2 * abs(d) + p - 1) // (2 * p))
 
 
-class GateAction(Enum):
-    FLUSH = "flush"
-    PROCEED = "proceed"
-
-
-def sim_spatial(prev, curr, grid, token_fn):
-    """Mean position-wise cosine similarity between patch embeddings.
-
-    This is the naive visual-domain score: each patch is compared only with
-    the patch at the same grid position in the other frame, so any content
-    shift drags it down. Zero-norm embeddings contribute 0 to the mean and
-    trigger a RuntimeWarning.
-    """
-    prev = validate_frame(prev)
-    curr = validate_frame(curr)
-    if prev.shape != curr.shape:
-        raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
-    a = grid.tokens(token_fn, frame=prev)
-    b = grid.tokens(token_fn, frame=curr)
-    degenerate = int(np.count_nonzero(
-        (np.linalg.norm(a, axis=1) == 0.0) | (np.linalg.norm(b, axis=1) == 0.0)
-    ))
-    if degenerate:
-        warnings.warn(
-            f"{degenerate} patch position(s) had zero-norm embeddings and "
-            "contributed 0 similarity",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float(_position_cosines(a, b).sum()) / grid.n_patches
-
-
-def _position_cosines(prev_vecs, curr_vecs):
-    """Row-wise cosine of two (n, d) stacks; zero-norm rows score 0."""
-    num = np.einsum("nd,nd->n", prev_vecs, curr_vecs)
-    norm_p = np.linalg.norm(prev_vecs, axis=1)
-    norm_c = np.linalg.norm(curr_vecs, axis=1)
-    denom = norm_p * norm_c
-    out = np.zeros(prev_vecs.shape[0])
-    ok = denom > 0.0
-    out[ok] = num[ok] / denom[ok]
-    return out
-
-
 def sim_freq(amp_prev, amp_curr, weights=None):
     """Cosine similarity of two amplitude spectra, flattened to vectors.
 
@@ -114,36 +72,22 @@ def sim_freq(amp_prev, amp_curr, weights=None):
     return min(1.0, bin_dot(a, b, weights) / (norm_a * norm_b))
 
 
-def phase_correlation(prev, curr, patch_size=1):
-    """Recover the cyclic displacement between two frames.
-
-    Normalizes the cross-power spectrum of the frame pair to unit magnitude
-    and locates the impulse in its inverse transform. The returned
-    displacement (di, dj) satisfies ``curr == roll(prev, (di, dj))`` exactly
-    when the frames are cyclic shifts of each other; for real (non-cyclic)
-    motion the estimate is approximate.
-    """
-    prev = validate_frame(prev)
-    curr = validate_frame(curr)
-    if prev.shape != curr.shape:
-        raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
-    if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
-        raise ConstantFrameError("no texture; displacement undefined")
-    return phase_correlation_spectra(
-        scipy.fft.rfft2(prev), scipy.fft.rfft2(curr), prev.shape, patch_size
-    )
-
-
 def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
-    """Phase correlation on the ``rfft2`` half spectra of two real frames of
-    the given ``shape``.
+    """Recover the cyclic displacement between two real frames of the given
+    ``shape`` from their ``rfft2`` half spectra.
 
-    The cross-power spectrum is normalized and inverted with ``irfft2`` on
-    the ``W // 2 + 1`` columns of the half spectrum; Hermitian symmetry
-    implies the rest, so the response equals the full-spectrum ``ifft2``
-    one. The inverse runs in single precision: every normalized bin has
-    unit magnitude, so its round-off stays near 1e-7 of the peak, while a
-    shift's impulse stands far above the rest of the response. Neither
+    Normalizes the cross-power spectrum of the pair to unit magnitude and
+    locates the impulse in its inverse transform. The returned displacement
+    (di, dj) satisfies ``curr == roll(prev, (di, dj))`` exactly when the
+    frames are cyclic shifts of each other; for real (non-cyclic) motion the
+    estimate is approximate.
+
+    The inverse is ``irfft2`` on the ``W // 2 + 1`` columns of the half
+    spectrum; Hermitian symmetry implies the rest, so the response equals
+    the full-spectrum ``ifft2`` one. It runs in single precision: every
+    normalized bin has unit magnitude, so its round-off stays near 1e-7 of
+    the peak, while a shift's impulse stands far above the rest of the
+    response. Neither
     input is written to. The cross-power spectrum, its magnitude and the
     single-precision input share 24 bytes per half-spectrum bin of this
     thread's :func:`~freqcache.spectral.scratch` region, so a stream of
@@ -218,11 +162,3 @@ def alignment_mask(disp, grid):
         mask[r0:r1, c0:c1] = True
     return mask
 
-
-def migration_gate(sim, tau_mig):
-    """Flush when spectral similarity falls below the threshold (strict)."""
-    if not 0.0 <= sim <= 1.0:
-        raise ValueError(f"similarity must lie in [0, 1], got {sim}")
-    if not 0.0 <= tau_mig <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {tau_mig}")
-    return GateAction.FLUSH if sim < tau_mig else GateAction.PROCEED

@@ -41,7 +41,6 @@ class SceneSpec:
 class Scene:
     """Generated frames plus per-frame ground-truth edge patch indices."""
 
-    spec: SceneSpec
     frames: list
     edge_labels: list  # frozenset of row-major patch indices, one per frame
 
@@ -71,15 +70,15 @@ def generate_scene(spec):
         base = rng.random((h, w))
         si, sj = spec.shift
         frames = [np.roll(base, (t * si, t * sj), axis=(0, 1)) for t in range(t_len)]
-        return Scene(spec, frames, empty)
+        return Scene(frames, empty)
 
     if spec.kind == "static":
         base = rng.random((h, w))
-        return Scene(spec, [base.copy() for _ in range(t_len)], empty)
+        return Scene([base.copy() for _ in range(t_len)], empty)
 
     if spec.kind == "noise":
         frames = [rng.random((h, w)) for _ in range(t_len)]
-        return Scene(spec, frames, empty)
+        return Scene(frames, empty)
 
     if spec.kind == "complexity-ramp":
         gradient = _gradient(h, w)
@@ -88,7 +87,7 @@ def generate_scene(spec):
         for t in range(t_len):
             weight = t / (t_len - 1)
             frames.append((1.0 - weight) * gradient + weight * noise)
-        return Scene(spec, frames, empty)
+        return Scene(frames, empty)
 
     # edge-inject
     p = spec.patch_size
@@ -117,4 +116,4 @@ def generate_scene(spec):
                 present.append(int(positions[e]))
         frames.append(frame)
         labels.append(frozenset(present))
-    return Scene(spec, frames, labels)
+    return Scene(frames, labels)

@@ -7,6 +7,9 @@ package's data types, frame validation and invariant checks with
 ``decide``, and rebuilds every analysis from direct definitions.
 ``phase_correlation_full_spectrum`` is ``phase_correlation_spectra``
 inverted on the full spectrum with ``ifft2`` and shares its peak search.
+``sim_spatial`` is the visual-domain reference that criterion 2 sets
+against ``sim_freq``, and ``phase_correlation_of`` hands two frames to the
+package's one displacement estimator.
 """
 
 import math
@@ -15,18 +18,21 @@ import numpy as np
 import scipy.fft
 
 from freqcache.budget import EntropyReading
+from freqcache.compare import _position_cosines
 from freqcache.edge_refresh import cutoff_index
-from freqcache.errors import ConstantFrameError, DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
 from freqcache.fusion import CacheDecision, _check_decision
 from freqcache.migration import (
     CROSS_POWER_EPS,
     Displacement,
     _impulse_displacement,
+    phase_correlation_spectra,
 )
 
-# The analysis failures decide_reference turns into a flushed decision.
-_ANALYSIS_ERRORS = (DegenerateSpectrumError, ConstantFrameError)
+
+class _AnalysisError(ValueError):
+    """An analysis failure decide_reference turns into a flushed decision;
+    its message is the decision's diagnostic."""
 
 
 def naive_dft2(frame):
@@ -128,6 +134,28 @@ def phase_correlation_full_spectrum(spec_prev, spec_curr, patch_size=1):
     return Displacement.from_pixels(di, dj, patch_size)
 
 
+def phase_correlation_of(prev, curr, patch_size=1):
+    """:func:`phase_correlation_spectra` of two equal-shape frames."""
+    return phase_correlation_spectra(scipy.fft.rfft2(prev),
+                                     scipy.fft.rfft2(curr),
+                                     np.shape(prev), patch_size)
+
+
+def sim_spatial(prev, curr, patch_size, token_fn):
+    """Mean position-wise cosine similarity between patch embeddings.
+
+    The naive visual-domain score: each patch is compared only with the
+    patch at the same grid position in the other frame, so any content
+    shift drags it down. ``token_fn`` embeds a (k, P, P) stack of patches;
+    a zero-norm embedding contributes 0 to the mean.
+    """
+    if np.shape(prev) != np.shape(curr):
+        raise ValueError(f"frame shapes differ: {np.shape(prev)} vs "
+                         f"{np.shape(curr)}")
+    a, b = (PatchGrid(f, patch_size).tokens(token_fn) for f in (prev, curr))
+    return float(_position_cosines(a, b).mean())
+
+
 def population_stats(values):
     """Mean and population (divide-by-N) standard deviation."""
     vals = [float(v) for v in np.asarray(values).ravel()]
@@ -206,7 +234,7 @@ def decide_reference(prev, curr, cfg, *, step=0):
     energies = np.empty((grid.rows, grid.cols))
     for i in range(grid.rows):
         for j in range(grid.cols):
-            coeffs = hp * _dct2_direct(grid.patch(i, j))
+            coeffs = hp * _dct2_direct(grid.blocks()[i, j])
             energies[i, j] = float(np.sum(coeffs * coeffs))
     mu = float(energies.sum()) / n
     sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / n)
@@ -223,10 +251,10 @@ def decide_reference(prev, curr, cfg, *, step=0):
         norm_p = math.sqrt(float(np.sum(amp_prev * amp_prev)))
         norm_c = math.sqrt(float(np.sum(amp_curr * amp_curr)))
         if norm_p == 0.0 or norm_c == 0.0:
-            raise DegenerateSpectrumError("degenerate spectrum")
+            raise _AnalysisError("degenerate spectrum")
         stage_sim = min(1.0, float(np.sum(amp_prev * amp_curr)) / (norm_p * norm_c))
         if np.ptp(prev) == 0.0 or np.ptp(curr) == 0.0:
-            raise ConstantFrameError("no texture; displacement undefined")
+            raise _AnalysisError("no texture; displacement undefined")
         cross = spec_prev * np.conj(spec_curr)
         cross /= np.abs(cross) + CROSS_POWER_EPS
         response = _idft2_direct(cross).real
@@ -250,7 +278,7 @@ def decide_reference(prev, curr, cfg, *, step=0):
                 sj = j - stage_disp.dj_patches
                 stage_align[i, j] = 0 <= si < grid.rows and 0 <= sj < grid.cols
         sim, disp, align = stage_sim, stage_disp, stage_align
-    except _ANALYSIS_ERRORS as exc:
+    except _AnalysisError as exc:
         failure = exc
 
     entropy = EntropyReading(0.0, 0.0, prev.size)
@@ -259,7 +287,7 @@ def decide_reference(prev, curr, cfg, *, step=0):
         power = (amp_curr * amp_curr).ravel()
         total = float(power.sum())
         if total <= 0.0:
-            raise DegenerateSpectrumError("degenerate spectrum")
+            raise _AnalysisError("degenerate spectrum")
         prob = power / total
         raw = float(-np.sum(prob[prob > 0.0] * np.log(prob[prob > 0.0]))) + 0.0
         stage_entropy = EntropyReading(raw, raw / math.log(prob.size), prob.size)
@@ -269,7 +297,7 @@ def decide_reference(prev, curr, cfg, *, step=0):
         entropy = stage_entropy
         alpha = stage_alpha
         k_reuse = int(math.floor(stage_alpha * n))
-    except _ANALYSIS_ERRORS as exc:
+    except _AnalysisError as exc:
         failure = failure or exc
 
     if failure is not None:

@@ -261,7 +261,7 @@ class TestSettingsTable:
                          "--out-dir", tmp_path / "cmp"),
                         tmp_path / "cmp" / "manifest.json"),
             "bench": (("--height", 32, "--width", 32, "--patch-size", 8,
-                       "--iterations", 1, "--warmup", 0, "--out", bench_out),
+                       "--iterations", 1, "--out", bench_out),
                       bench_out.with_suffix(".json.manifest.json")),
         }
         assert set(runs) == set(READS)
@@ -352,7 +352,8 @@ class TestEndToEnd:
         out = tmp_path / "bench.json"
         assert run_cli("bench", "--height", 64, "--width", 64,
                        "--patch-size", 16, "--iterations", 5,
-                       "--warmup", 3, "--out", out) == 0
+                       "--out", out) == 0
         result = json.loads(out.read_text())
         assert result["iterations"] == 5
+        assert result["warmup"] == 5
         assert result["median_ms"] > 0.0

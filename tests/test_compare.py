@@ -1,9 +1,10 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from freqcache import BudgetConfig, CacheConfig, run_sequence
+from freqcache import BudgetConfig, CacheConfig, DEFAULT_COST_MODEL, run_sequence
 from freqcache import PatchGrid
 from freqcache.compare import compare_domains
 from freqcache.scenes import SceneSpec, generate_scene
@@ -68,6 +69,20 @@ def test_latency_consistent_with_reuse():
         assert stats["speedup"] >= 1.0
 
 
+def test_all_zero_frames_reuse_nothing_without_warning():
+    # A zero-norm patch embedding scores cosine 0: the visual policy reuses
+    # all of step 1 (equal frames) and nothing on the two steps that touch
+    # an all-zero frame.
+    frame = np.random.default_rng(6).random((32, 32))
+    frames = [frame, frame.copy(), np.zeros((32, 32)), np.zeros((32, 32))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare_domains(frames, CacheConfig(patch_size=8))
+    policies = report["policies"]
+    assert policies["visual"]["reuse_ratio"] == 1 / 3
+    assert policies["naive_freq"]["reuse_ratio"] == 1 / 3
+
+
 def test_each_frame_is_embedded_once(monkeypatch):
     scene = generate_scene(
         SceneSpec(kind="translate", height=32, width=32, length=5, seed=4,
@@ -76,9 +91,9 @@ def test_each_frame_is_embedded_once(monkeypatch):
     cut = []
     real = PatchGrid.blocks
 
-    def spy(self, frame=None):
-        cut.append(frame)
-        return real(self, frame)
+    def spy(self):
+        cut.append(self.frame)
+        return real(self)
 
     monkeypatch.setattr(PatchGrid, "blocks", spy)
     compare_domains(scene.frames, CacheConfig(patch_size=8))
@@ -95,7 +110,8 @@ def test_freqcache_policy_equals_run_sequence():
     report = run_sequence(scene.frames, cfg)
     assert report.mean_reuse_ratio > 0.0
     assert policy["reuse_ratio"] == report.mean_reuse_ratio
-    assert policy["mean_latency_ms"] == report.mean_latency_ms
+    assert policy["mean_latency_ms"] == DEFAULT_COST_MODEL.summary(
+        [d.k_final for d in report.decisions], report.n_tokens)[1]
     assert policy["speedup"] == report.speedup
 
 

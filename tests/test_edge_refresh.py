@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from freqcache import (
     CacheConfig,
-    EnergyMap,
     PatchGrid,
     cutoff_index,
     decide,
@@ -33,7 +32,7 @@ def dropped_coefficients(p):
             coeffs = np.zeros((p, p))
             coeffs[u, v] = 3.0
             patch = scipy.fft.idctn(coeffs, norm="ortho")
-            e = patch_energy(PatchGrid(patch, p)).energies[0, 0]
+            e = patch_energy(PatchGrid(patch, p))[0, 0]
             if e < 1e-24:
                 dropped.add((u, v))
             else:
@@ -63,8 +62,7 @@ class TestHighpassFilter:
 class TestPatchEnergy:
     def test_constant_patch_scores_zero(self):
         grid = PatchGrid(np.full((8, 8), 3.7), 8)
-        emap = patch_energy(grid)
-        assert emap.energies[0, 0] == 0.0
+        assert patch_energy(grid)[0, 0] == 0.0
 
     def test_flat_frames_refresh_nothing(self):
         # Round-off leaves ~1e-30 on a flat patch, more on brighter ones:
@@ -84,7 +82,7 @@ class TestPatchEnergy:
         patch = rng.random((p, p))
         for rows, cols in ((24, 40), (40, 24), (9, 9), (1, 7), (5, 1)):
             frame = np.tile(patch, (rows, cols))
-            energies = patch_energy(PatchGrid(frame, p)).energies
+            energies = patch_energy(PatchGrid(frame, p))
             assert energies.shape == (rows, cols)
             assert len(np.unique(energies)) == 1
 
@@ -93,8 +91,7 @@ class TestPatchEnergy:
         step[:, 4:] = 1.0
         ramp = np.tile(np.linspace(0.0, 1.0, 8), (8, 1))
         frame = np.concatenate([step, ramp], axis=1)
-        emap = patch_energy(PatchGrid(frame, 8))
-        e_step, e_ramp = emap.energies[0, 0], emap.energies[0, 1]
+        e_step, e_ramp = patch_energy(PatchGrid(frame, 8))[0]
         # independent oracle fixes both values
         assert e_step == pytest.approx(naive_patch_energy(step, 2), abs=1e-9)
         assert e_ramp == pytest.approx(naive_patch_energy(ramp, 2), abs=1e-9)
@@ -103,31 +100,29 @@ class TestPatchEnergy:
     def test_parseval_decomposition(self):
         rng = np.random.default_rng(0)
         patch = rng.standard_normal((8, 8))
-        emap = patch_energy(PatchGrid(patch, 8))
+        energy = patch_energy(PatchGrid(patch, 8))[0, 0]
         coeffs = naive_dct2(patch)
         total = np.sum(coeffs ** 2)
         low = np.sum(coeffs[:2, :2] ** 2)
-        assert emap.energies[0, 0] == pytest.approx(total - low, abs=1e-9)
+        assert energy == pytest.approx(total - low, abs=1e-9)
 
     def test_energy_bounded_by_pixel_energy(self):
         rng = np.random.default_rng(1)
         frame = rng.standard_normal((32, 32))
         grid = PatchGrid(frame, 8)
-        emap = patch_energy(grid)
-        for i in range(grid.rows):
-            for j in range(grid.cols):
-                bound = np.sum(grid.patch(i, j) ** 2)
-                assert 0.0 <= emap.energies[i, j] <= bound + 1e-9
+        energies = patch_energy(grid)
+        bounds = np.sum(grid.blocks() ** 2, axis=(2, 3))
+        assert np.all((0.0 <= energies) & (energies <= bounds + 1e-9))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
         frame = rng.random((16, 16))
         grid = PatchGrid(frame, 8)
-        emap = patch_energy(grid)
+        energies = patch_energy(grid)
         for i in range(2):
             for j in range(2):
-                expected = naive_patch_energy(grid.patch(i, j), emap.cutoff)
-                assert emap.energies[i, j] == pytest.approx(expected, abs=1e-9)
+                expected = naive_patch_energy(grid.blocks()[i, j], 2)
+                assert energies[i, j] == pytest.approx(expected, abs=1e-9)
 
     @given(seed=st.integers(0, 2**31 - 1), p=st.sampled_from([2, 3, 4, 5, 8]),
            rows=st.integers(1, 3), cols=st.integers(1, 3))
@@ -135,58 +130,60 @@ class TestPatchEnergy:
     def test_matches_naive_oracle_property(self, seed, p, rows, cols):
         frame = np.random.default_rng(seed).standard_normal((rows * p, cols * p))
         grid = PatchGrid(frame, p)
-        emap = patch_energy(grid)
+        energies = patch_energy(grid)
         for i in range(rows):
             for j in range(cols):
-                expected = naive_patch_energy(grid.patch(i, j), cutoff_index(p))
-                assert abs(emap.energies[i, j] - expected) < 1e-9
+                expected = naive_patch_energy(grid.blocks()[i, j],
+                                              cutoff_index(p))
+                assert abs(energies[i, j] - expected) < 1e-9
 
 
 class TestRefreshMask:
     def test_all_equal_energies_empty_mask(self):
-        emap = EnergyMap(np.full((3, 3), 4.2), 8, 2)
-        result = refresh_mask(emap, 0.25)
-        assert result.std_energy == 0.0
-        assert not result.mask.any()
+        assert not refresh_mask(np.full((3, 3), 4.2), 0.25).any()
 
     def test_single_outlier_flagged(self):
-        emap = EnergyMap(np.array([[0.0, 0.0], [0.0, 100.0]]), 8, 2)
-        result = refresh_mask(emap, 0.25)
-        mean, std = population_stats(emap.energies)
-        assert result.mean_energy == pytest.approx(mean)      # 25
-        assert result.std_energy == pytest.approx(std)        # ~43.30
+        energies = np.array([[0.0, 0.0], [0.0, 100.0]])
+        mean, std = population_stats(energies)                # 25, ~43.30
         assert mean + 0.25 * std == pytest.approx(35.825317547305483)
-        assert result.mask.tolist() == [[False, False], [False, True]]
+        assert refresh_mask(energies, 0.25).tolist() == [[False, False],
+                                                         [False, True]]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            energies = rng.random((4, 4))
+            mean, std = population_stats(energies)
+            for lam in (-1.0, 0.0, 0.25, 1.0):
+                assert np.array_equal(refresh_mask(energies, lam),
+                                      energies > mean + lam * std)
 
     def test_huge_sensitivity_empties_mask(self):
-        rng = np.random.default_rng(3)
-        emap = EnergyMap(rng.random((4, 4)), 8, 2)
-        assert not refresh_mask(emap, 1e18).mask.any()
-        assert not refresh_mask(emap, math.inf).mask.any()
+        energies = np.random.default_rng(3).random((4, 4))
+        assert not refresh_mask(energies, 1e18).any()
+        assert not refresh_mask(energies, math.inf).any()
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(4)
         frame = rng.random((32, 32))
         base_energy = patch_energy(PatchGrid(frame, 8))
-        base_mask = refresh_mask(base_energy, 0.25).mask
+        base_mask = refresh_mask(base_energy, 0.25)
         for c in (0.5, 2.0, 10.0):
             scaled_energy = patch_energy(PatchGrid(c * frame, 8))
             assert np.allclose(
-                scaled_energy.energies, c * c * base_energy.energies,
+                scaled_energy, c * c * base_energy,
                 rtol=1e-9, atol=1e-12,
             )
             assert np.array_equal(
-                refresh_mask(scaled_energy, 0.25).mask, base_mask
+                refresh_mask(scaled_energy, 0.25), base_mask
             )
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_flagged_set_shrinks_as_sensitivity_grows(self, seed):
         rng = np.random.default_rng(seed)
-        emap = EnergyMap(rng.random((4, 4)) * 10, 8, 2)
+        energies = rng.random((4, 4)) * 10
         previous = None
         for lam in (-1.0, 0.0, 0.25, 1.0, 3.0):
-            flagged = set(np.flatnonzero(refresh_mask(emap, lam).mask.ravel()))
+            flagged = set(np.flatnonzero(refresh_mask(energies, lam).ravel()))
             if previous is not None:
                 assert flagged <= previous
             previous = flagged
@@ -199,7 +196,7 @@ class TestEdgeInjectScenes:
         scene = generate_scene(spec)
         for frame, labels in zip(scene.frames, scene.edge_labels):
             grid = PatchGrid(frame, 8)
-            mask = refresh_mask(patch_energy(grid), 0.25).mask
+            mask = refresh_mask(patch_energy(grid), 0.25)
             flagged = set(np.flatnonzero(mask.ravel()))
             assert labels <= flagged, "an injected edge escaped the mask"
             background = grid.n_patches - len(labels)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqcache import PatchGrid, default_token_fn, per_patch
+from freqcache import PatchGrid, default_token_fn
 from freqcache.frame import TOKEN_CHUNK_PIXELS
 from freqcache.fusion import _TOKEN_BINS, _TOKEN_EDGES
 
@@ -23,12 +23,19 @@ PIXELS = st.one_of(
 )
 
 
-def view_tokens(grid, token_fn, indices, frame=None):
+def view_tokens(grid, token_fn, indices):
     """One call per listed patch, on its (P, P) view of the frame."""
-    return np.stack([
-        np.ravel(token_fn(grid.patch(*divmod(int(idx), grid.cols), frame)))
-        for idx in indices
-    ])
+    p = grid.patch_size
+    views = []
+    for idx in indices:
+        i, j = divmod(int(idx), grid.cols)
+        views.append(grid.frame[i * p:(i + 1) * p, j * p:(j + 1) * p])
+    return np.stack([np.ravel(token_fn(view)) for view in views])
+
+
+def per_patch(fn):
+    """A batched token function that calls ``fn`` on each (P, P) patch."""
+    return lambda patches: np.stack([np.ravel(fn(p)) for p in patches])
 
 
 class TestDefaultTokenFn:
@@ -57,16 +64,15 @@ class TestDefaultTokenFn:
 class TestPatchGridTokens:
     def test_subset_matches_per_patch_calls(self):
         rng = np.random.default_rng(0)
-        grid = PatchGrid(rng.random((16, 24)), 4)
-        other = rng.random((16, 24))
         indices = [17, 0, 5, 23]
-        for frame in (None, other):
-            got = grid.tokens(default_token_fn, indices, frame)
+        for _ in range(2):
+            grid = PatchGrid(rng.random((16, 24)), 4)
+            got = grid.tokens(default_token_fn, indices)
             assert got.shape == (4, 18)
-            expected = grid.tokens(per_patch(histogram_token), indices, frame)
+            expected = grid.tokens(per_patch(histogram_token), indices)
             assert np.array_equal(got, expected)
             assert np.array_equal(
-                got, view_tokens(grid, histogram_token, indices, frame))
+                got, view_tokens(grid, histogram_token, indices))
 
     def test_default_lists_every_patch_row_major(self):
         frame = np.arange(64.0).reshape(8, 8)

@@ -144,7 +144,7 @@ class TestExportMasks:
 
     def test_reused_pixel_count_matches_k_final(self, tmp_path):
         decisions = self._decisions()
-        paths = export_masks(decisions, tmp_path)
+        paths = export_masks([decision_record(d) for d in decisions], tmp_path)
         assert [p.name for p in paths] == [
             f"step_{d.step:05d}.pgm" for d in decisions
         ]

@@ -35,7 +35,7 @@ from freqcache import (
     topk_ascending,
 )
 from freqcache import cli, fusion, spectral
-from freqcache.bench import bench
+from freqcache.bench import WARMUP, bench
 from freqcache.compare import compare_domains
 from freqcache.frameio import save_rawf32
 from freqcache.records import decision_record
@@ -295,8 +295,8 @@ class TestSpectrumCarryOver:
 
         assert in_fresh_thread(counted_stream) == [2, 1, 1, 1]
         calls.clear()
-        in_fresh_thread(bench, CacheConfig(patch_size=16), 32, 32, 4, 3)
-        assert len(calls) == 2 * (4 + 3)
+        in_fresh_thread(bench, CacheConfig(patch_size=16), 32, 32, 4)
+        assert len(calls) == 2 * (4 + WARMUP)
 
 
 def shifted_stream(seed, shape, n=3, shift=(5, -11)):
@@ -316,7 +316,7 @@ def stage_results(frames, patch_size):
     return (list(fusion.stream(frames, cfg)),
             phase_correlation_spectra(spec_prev, spec_curr, curr.shape, patch_size),
             spectral_entropy(np.abs(spec_curr), weights),
-            patch_energy(PatchGrid(curr, patch_size)).energies)
+            patch_energy(PatchGrid(curr, patch_size)))
 
 
 class TestScratchRegion:
@@ -363,7 +363,7 @@ class TestScratchRegion:
             frames = shifted_stream(53, (64, 64))
             energy = patch_energy(PatchGrid(frames[-1], 8))
             decision = decide(frames[0], frames[1], CFG32, step=1)
-            kept = (energy.energies.copy(), copy.deepcopy(decision))
+            kept = (energy.copy(), copy.deepcopy(decision))
             for seed, shape, p in ((55, (96, 96), 16), (56, (64, 64), 8)):
                 stage_results(shifted_stream(seed, shape), p)
             region = spectral._scratch.region
@@ -371,8 +371,8 @@ class TestScratchRegion:
 
         energy, decision, (energies, copied), region = in_fresh_thread(
             kept_then_more_calls)
-        assert not np.shares_memory(energy.energies, region)
-        assert np.array_equal(energy.energies, energies)
+        assert not np.shares_memory(energy, region)
+        assert np.array_equal(energy, energies)
         assert decision == copied
         assert decision.timings_us == copied.timings_us
 

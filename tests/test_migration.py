@@ -5,20 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqcache import (
-    ConstantFrameError,
+    CacheConfig,
     DegenerateSpectrumError,
     Displacement,
-    GateAction,
     PatchGrid,
     alignment_mask,
-    migration_gate,
-    phase_correlation,
+    decide,
     phase_correlation_spectra,
     sim_freq,
-    sim_spatial,
 )
 
-from oracles import brute_force_displacement, phase_correlation_full_spectrum
+from oracles import (
+    brute_force_displacement,
+    phase_correlation_full_spectrum,
+    phase_correlation_of,
+    sim_spatial,
+)
 
 
 def raw_pixels(patch):
@@ -55,17 +57,18 @@ def static_edge_shot(rng, size, p, length):
 
 
 class TestSimSpatial:
+    """The visual-domain reference of criterion 2 is a cosine: 1 on equal
+    frames, -1 on negated ones, and below ``sim_freq`` under a shift."""
+
     def test_identical_frames(self):
         frame = np.random.default_rng(0).random((16, 16)) + 0.1
-        grid = PatchGrid(frame, 4)
-        assert sim_spatial(frame, frame, grid, raw_pixels) == pytest.approx(
+        assert sim_spatial(frame, frame, 4, raw_pixels) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_negated_frame_is_antipodal(self):
         frame = np.random.default_rng(1).random((16, 16)) + 0.1
-        grid = PatchGrid(frame, 4)
-        assert sim_spatial(frame, -frame, grid, raw_pixels) == pytest.approx(
+        assert sim_spatial(frame, -frame, 4, raw_pixels) == pytest.approx(
             -1.0, abs=1e-12
         )
 
@@ -73,24 +76,14 @@ class TestSimSpatial:
         rng = np.random.default_rng(2)
         prev = rng.random((32, 32))
         curr = np.roll(prev, (8, 0), axis=(0, 1))  # one whole patch row
-        grid = PatchGrid(curr, 8)
-        spatial = sim_spatial(prev, curr, grid, raw_pixels)
+        spatial = sim_spatial(prev, curr, 8, raw_pixels)
         freq = sim_freq(amplitude_of(prev), amplitude_of(curr))
         assert spatial < freq
         assert freq >= 1.0 - 1e-9
 
-    def test_zero_norm_embedding_warns_and_contributes_zero(self):
-        prev = np.zeros((8, 8))
-        prev[4:, :] = 1.0  # top-left patch is all zero
-        grid = PatchGrid(prev, 4)
-        with pytest.warns(RuntimeWarning, match="zero-norm"):
-            value = sim_spatial(prev, prev, grid, raw_pixels)
-        assert value == pytest.approx(2 / 4)  # two zero patches of four
-
     def test_shape_mismatch_rejected(self):
-        grid = PatchGrid(np.ones((8, 8)), 4)
         with pytest.raises(ValueError):
-            sim_spatial(np.ones((8, 8)), np.ones((8, 4)), grid, raw_pixels)
+            sim_spatial(np.ones((8, 8)), np.ones((8, 4)), 4, raw_pixels)
 
 
 class TestSimFreq:
@@ -122,24 +115,20 @@ class TestSimFreq:
 class TestPhaseCorrelation:
     def test_zero_shift(self):
         frame = np.random.default_rng(5).random((64, 64))
-        disp = phase_correlation(frame, frame)
+        disp = phase_correlation_of(frame, frame)
         assert (disp.di, disp.dj) == (0, 0)
 
     def test_recovers_cyclic_shift(self):
         frame = np.random.default_rng(6).random((64, 64))
         curr = np.roll(frame, (3, 5), axis=(0, 1))
-        disp = phase_correlation(frame, curr)
+        disp = phase_correlation_of(frame, curr)
         assert (disp.di, disp.dj) == (3, 5)
 
     def test_wraparound_canonicalization(self):
         frame = np.random.default_rng(7).random((64, 64))
         curr = np.roll(frame, (61, 0), axis=(0, 1))
-        disp = phase_correlation(frame, curr)
+        disp = phase_correlation_of(frame, curr)
         assert (disp.di, disp.dj) == (-3, 0)
-
-    def test_constant_frame_rejected(self):
-        with pytest.raises(ConstantFrameError, match="no texture"):
-            phase_correlation(np.full((8, 8), 0.5), np.random.random((8, 8)))
 
     def test_agrees_with_brute_force_oracle(self):
         rng = np.random.default_rng(8)
@@ -147,7 +136,7 @@ class TestPhaseCorrelation:
             prev = rng.random((32, 32))
             shift = (int(rng.integers(-10, 11)), int(rng.integers(-10, 11)))
             curr = np.roll(prev, shift, axis=(0, 1))
-            disp = phase_correlation(prev, curr)
+            disp = phase_correlation_of(prev, curr)
             assert (disp.di, disp.dj) == brute_force_displacement(prev, curr)
 
     @pytest.mark.parametrize("shape", [(32, 32), (33, 33), (24, 40),
@@ -216,7 +205,7 @@ class TestPhaseCorrelation:
     def test_patch_quantization(self):
         frame = np.random.default_rng(9).random((64, 64))
         curr = np.roll(frame, (12, -4), axis=(0, 1))
-        disp = phase_correlation(frame, curr, patch_size=8)
+        disp = phase_correlation_of(frame, curr, patch_size=8)
         # 12/8 = 1.5 rounds toward zero; -4/8 = -0.5 rounds toward zero
         assert (disp.di_patches, disp.dj_patches) == (1, 0)
 
@@ -260,18 +249,49 @@ class TestAlignmentMask:
 
 
 class TestMigrationGate:
+    """``decide`` flushes a step whose ``sim_freq`` lies strictly below
+    ``tau_mig`` and proceeds otherwise."""
+
+    @staticmethod
+    def pair():
+        """A textured frame and an unrelated, dimmer one whose ``sim_freq``
+        lies strictly inside (0, 1)."""
+        rng = np.random.default_rng(20)
+        curr = 0.2 * rng.random((32, 32))
+        return rng.random((32, 32)), curr - curr.mean() + 0.01
+
+    @staticmethod
+    def decide_at(prev, curr, tau_mig):
+        return decide(prev, curr, CacheConfig(patch_size=8, tau_mig=tau_mig))
+
     def test_high_similarity_proceeds(self):
-        assert migration_gate(1.0, 0.12) is GateAction.PROCEED
+        frame = self.pair()[0]
+        d = self.decide_at(frame, frame, 0.12)
+        assert d.sim_freq == pytest.approx(1.0, abs=1e-12)
+        assert not d.flushed and d.k_final > 0
 
     def test_zero_similarity_flushes(self):
-        assert migration_gate(0.0, 0.12) is GateAction.FLUSH
+        # Row and column cosines have disjoint spectral support.
+        i, j = np.mgrid[0:32, 0:32]
+        prev, curr = np.cos(2 * np.pi * i / 8), np.cos(2 * np.pi * j / 8)
+        d = self.decide_at(prev, curr, 0.12)
+        assert d.sim_freq == pytest.approx(0.0, abs=1e-12)
+        assert d.flushed and d.diagnostic is None and d.k_final == 0
 
     def test_boundary_is_strict(self):
-        assert migration_gate(0.12, 0.12) is GateAction.PROCEED
+        prev, curr = self.pair()
+        sim = self.decide_at(prev, curr, 0.0).sim_freq
+        assert 0.0 < sim < 1.0
+        at = self.decide_at(prev, curr, sim)
+        assert at.sim_freq == sim and not at.flushed and at.k_final > 0
+        above = self.decide_at(prev, curr, float(np.nextafter(sim, 2.0)))
+        assert above.flushed and above.diagnostic is None
+        assert above.k_final == 0
 
-    @given(sim=st.floats(0, 1), tau_lo=st.floats(0, 1), tau_hi=st.floats(0, 1))
+    @given(tau_lo=st.floats(0, 1), tau_hi=st.floats(0, 1))
     @settings(max_examples=60, deadline=None)
-    def test_lowering_threshold_never_flushes_more(self, sim, tau_lo, tau_hi):
+    def test_lowering_threshold_never_flushes_more(self, tau_lo, tau_hi):
+        prev, curr = self.pair()
         lo, hi = sorted((tau_lo, tau_hi))
-        if migration_gate(sim, hi) is GateAction.PROCEED:
-            assert migration_gate(sim, lo) is GateAction.PROCEED
+        if not self.decide_at(prev, curr, hi).flushed:
+            assert not self.decide_at(prev, curr, lo).flushed

@@ -3,8 +3,10 @@ import pytest
 import scipy.fft
 from scipy.stats import spearmanr
 
-from freqcache import phase_correlation, sim_freq, spectral_entropy
+from freqcache import sim_freq, spectral_entropy
 from freqcache.scenes import SceneSpec, generate_scene
+
+from oracles import phase_correlation_of
 
 
 def test_specs_reject_bad_values():
@@ -31,7 +33,7 @@ def test_translate_shift_is_recoverable_every_step():
                      seed=3, shift=(3, 5))
     scene = generate_scene(spec)
     for prev, curr in zip(scene.frames, scene.frames[1:]):
-        disp = phase_correlation(prev, curr)
+        disp = phase_correlation_of(prev, curr)
         assert (disp.di, disp.dj) == (3, 5)
 
 

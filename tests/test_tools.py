@@ -1,0 +1,74 @@
+"""The revision-comparing tools refuse bad revisions with one line.
+
+Every run here names at least one revision that is not a commit, so
+neither tool gets as far as exporting a tree or starting perfbench.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BAD = "no-such-revision"
+PR = "999999"
+
+
+def run_tool(tool, cwd, *args):
+    # Keep git from finding a repository above ``cwd`` or through the
+    # environment.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env["GIT_CEILING_DIRECTORIES"] = str(Path(cwd).parent)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / f"{tool}.py"), *args],
+        cwd=cwd, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+        text=True, timeout=60)
+
+
+def tool_args(tool, work):
+    args = ["--parent", "HEAD", "--change", BAD]
+    if tool == "ab_bench":
+        args += ["--pr", PR, "--work", str(work)]
+    return args
+
+
+def assert_one_line(proc, tool, message):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"{tool}: {message}"]
+
+
+def in_checkout():
+    return subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=ROOT,
+                          capture_output=True).returncode == 0
+
+
+@pytest.mark.parametrize("tool", ["ab_bench", "same_outputs"])
+def test_bad_revision_in_the_checkout(tmp_path, tool):
+    top_before = sorted(p.name for p in ROOT.iterdir())
+    proc = run_tool(tool, ROOT, *tool_args(tool, tmp_path / "work"))
+    message = (f"{BAD} is not a commit of this repository" if in_checkout()
+               else "not inside a git repository")
+    assert_one_line(proc, tool, message)
+    assert sorted(p.name for p in ROOT.iterdir()) == top_before
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tool", ["ab_bench", "same_outputs"])
+def test_outside_any_repository(tmp_path, tool):
+    cwd = tmp_path / "outside"
+    cwd.mkdir()
+    proc = run_tool(tool, cwd, *tool_args(tool, cwd / "work"))
+    assert_one_line(proc, tool, "not inside a git repository")
+    assert list(cwd.iterdir()) == []
+
+
+def test_ab_bench_work_directory_that_exists(tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = run_tool("ab_bench", ROOT, *tool_args("ab_bench", work))
+    assert_one_line(proc, "ab_bench", f"--work {work} already exists")
+    assert list(work.iterdir()) == []

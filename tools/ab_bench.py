@@ -16,37 +16,30 @@ quartiles and the pairs each side won.
 Each side is recorded by its commit and tree hashes. Work that is not
 committed can be measured as the revision that ``git stash create`` prints
 after ``git add``; its tree hash is the tree of the commit that later
-holds the same files. Uses the standard library only.
+holds the same files. An existing ``DIR``, running outside a git
+repository or a revision that is not a commit of it (see revisions.py)
+stops the tool with status 2 before anything is written. Uses the
+standard library only.
 """
 
 import argparse
-import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 from pathlib import Path
 
+from revisions import export, fail, git, resolve
+
+TOOL = "ab_bench"
 SIDES = ("parent", "change")
 # Ten pairs, the fewest whose win count can back a claimed gain.
 PAIRS = 10
 # perfbench's README keeps seeds 1-10 for tuning; any other is held out.
 HELD_OUT_SEED = 1000
 COMMAND = "python3 perfbench/run.py --workload all --seed N"
-
-
-def git(*args):
-    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
-
-
-def export(rev, dest):
-    """The files of ``rev`` under ``dest``, without ``.git``."""
-    dest.mkdir(parents=True)
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def perfbench(tree, seed):
@@ -114,9 +107,10 @@ def main(argv=None):
                         help="new directory for the exported trees")
     args = parser.parse_args(argv)
 
-    top = Path(git("rev-parse", "--show-toplevel").decode().strip())
-    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-               for side, rev in zip(SIDES, (args.parent, args.change))}
+    if args.work.exists():
+        fail(TOOL, f"--work {args.work} already exists")
+    top, revs = resolve(TOOL, (args.parent, args.change))
+    commits = dict(zip(SIDES, revs))
     trees = {side: args.work / side for side in SIDES}
     for side in SIDES:
         export(commits[side], trees[side])

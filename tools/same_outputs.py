@@ -12,19 +12,21 @@ relative paths, so its stdout names the same files on both sides; each
 stdout is saved next to the outputs. Then every file of the two output
 trees is compared byte for byte, except manifests, which hold wall-clock
 times. Prints one line per difference and exits 1 if there is any, 0 if
-none. A revision that is not a commit, or a command that fails on either
-side, stops the check with status 2.
-Uses the standard library only.
+none. Running outside a git repository, a revision that is not a commit
+of it (see revisions.py), or a command that fails on either side stops
+the check with status 2. Uses the standard library only.
 """
 
 import argparse
-import io
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from revisions import export, fail, resolve
+
+TOOL = "same_outputs"
 
 SIDES = ("parent", "change")
 # name: (synth and compare scene flags, patch size). The first is the
@@ -42,30 +44,6 @@ SCENES = {
     "static-112-p8": (["--kind", "static", "--height", "112", "--width",
                        "112", "--length", "8", "--seed", "7"], 8),
 }
-
-
-def git(*args):
-    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
-
-
-def fail(message):
-    """Stop with status 2, which no comparison result uses."""
-    print(f"same_outputs: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def commit(rev):
-    try:
-        return git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    except subprocess.CalledProcessError:
-        fail(f"{rev} is not a commit of this repository")
-
-
-def export(rev, dest):
-    """The files of ``rev`` under ``dest``, without ``.git``."""
-    dest.mkdir(parents=True)
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
-        tar.extractall(dest, filter="data")
 
 
 def commands(scene, patch_size):
@@ -96,8 +74,9 @@ def run_side(tree, out):
                                   cwd=cwd, env=env, stdin=subprocess.DEVNULL,
                                   capture_output=True)
             if proc.returncode != 0:
-                fail(f"{label} on {name} in {tree} exited with "
-                     f"{proc.returncode}:\n{proc.stderr.decode(errors='replace')}")
+                fail(TOOL, f"{label} on {name} in {tree} exited with "
+                           f"{proc.returncode}:\n"
+                           f"{proc.stderr.decode(errors='replace')}")
             (cwd / "stdout" / f"{i}-{label}.txt").write_bytes(proc.stdout)
 
 
@@ -113,8 +92,7 @@ def main(argv=None):
     parser.add_argument("--change", required=True)
     args = parser.parse_args(argv)
 
-    revs = {side: commit(rev)
-            for side, rev in zip(SIDES, (args.parent, args.change))}
+    revs = dict(zip(SIDES, resolve(TOOL, (args.parent, args.change))[1]))
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         work = Path(tmp)
         for side in SIDES:
