@@ -8,6 +8,8 @@ import numpy as np
 from .errors import DegenerateSpectrumError
 from .spectral import bin_dot, scratch
 
+_SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
 
 @dataclass(frozen=True)
 class BudgetConfig:
@@ -44,11 +46,13 @@ def spectral_entropy(amplitude, weights=None):
     :func:`~freqcache.spectral.scratch` region.
     """
     a = np.asarray(amplitude, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("amplitude grid contains non-finite values")
-    if np.any(a < 0.0):
-        raise ValueError("amplitude grid must be nonnegative")
     total = bin_dot(a, a, weights)
+    # A non-finite entry makes the total non-finite, so only a non-finite
+    # (or overflowed) total needs the full scan.
+    if not math.isfinite(total) and not np.isfinite(a).all():
+        raise ValueError("amplitude grid contains non-finite values")
+    if np.min(a, initial=0.0) < 0.0:
+        raise ValueError("amplitude grid must be nonnegative")
     bins = a.size if weights is None else a.shape[0] * int(np.sum(weights))
     if bins < 2:
         raise ValueError("amplitude grid must have at least 2 bins")
@@ -57,8 +61,10 @@ def spectral_entropy(amplitude, weights=None):
     p, log_p = scratch(a.shape, np.float64, np.float64)
     np.multiply(a, a, out=p)
     p /= total
-    log_p.fill(0.0)
-    np.log(p, out=log_p, where=p > 0.0)
+    # A zero bin takes the log of the smallest subnormal, a finite number,
+    # so its term p * log_p is exactly (minus) zero.
+    np.maximum(p, _SMALLEST_SUBNORMAL, out=log_p)
+    np.log(log_p, out=log_p)
     raw = -bin_dot(p, log_p, weights) + 0.0
     return EntropyReading(raw, raw / math.log(bins), bins)
 

@@ -59,26 +59,36 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     The visual baseline embeds patches as raw intensity vectors, which is
     exactly the position-wise matching it stands for; a patch with no
     energy in either frame (all zero) scores cosine 0. A threshold outside
-    [-1, 1] (NaN too) or fewer than two frames raise ValueError first.
+    [-1, 1] (NaN too) or fewer than two frames raise ValueError first; a
+    frame that :func:`fusion.decide` rejects raises its ValueError naming
+    the step.
     """
     thresholds = {"tau_visual": tau_visual, "tau_naive_freq": tau_naive_freq}
     for name, tau in thresholds.items():
         check_cosine(name, tau)
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
-    grid = PatchGrid(frames[0], cfg.patch_size)
-    n = grid.n_patches
     have_labels = edge_labels is not None
 
     names = ("freqcache", "visual", "naive_freq")
     reused = {name: [] for name in names}
     false_reuse = dict.fromkeys(names, 0)
 
+    def tokens(t):
+        # ``stream`` yields step t after ``decide`` validated frames t-1 and
+        # t; converting again gives the array it checked (the same one for
+        # a float64 array).
+        grid = PatchGrid._of_valid(np.asarray(frames[t], dtype=np.float64),
+                                   cfg.patch_size)
+        return _baseline_tokens(grid.blocks())
+
     # A frame's tokens are ``curr`` for one step and ``prev`` for the next.
-    prev = _baseline_tokens(grid.blocks())
+    prev = None
     for decision in stream(frames, cfg):
         t = decision.step
-        curr = _baseline_tokens(PatchGrid(frames[t], cfg.patch_size).blocks())
+        if prev is None:
+            prev = tokens(t - 1)
+        curr = tokens(t)
         visual_cos, naive_cos = map(_position_cosines, prev, curr)
         prev = curr
         sets = {
@@ -91,6 +101,7 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
             reused[name].append(len(reuse))
             false_reuse[name] += len(reuse & labels)
 
+    n = decision.rows * decision.cols
     policies = {}
     for name in names:
         ratio, mean_latency, speedup = DEFAULT_COST_MODEL.summary(reused[name], n)

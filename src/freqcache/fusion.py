@@ -151,8 +151,8 @@ def topk_ascending(candidates, energies, k):
 
 class _Analysis(NamedTuple):
     """What ``decide`` reads of one validated frame: its read-only ``rfft2``
-    half spectrum and amplitude, the power of its full spectrum, and whether
-    it is constant."""
+    half spectrum (``complex64`` in ``decide``) and amplitude, the power of
+    its full spectrum, and whether it is constant."""
 
     spectrum: np.ndarray
     amplitude: np.ndarray
@@ -160,14 +160,29 @@ class _Analysis(NamedTuple):
     constant: bool
 
 
-def _half_spectrum(frame):
+# Phase correlation ignores a spectrum's scale but multiplies in single
+# precision. A spectrum rounded for it whose power lies outside this range is
+# first scaled by a power of two to a power near 1, so those products
+# neither overflow nor underflow; inside it, the scale stays as it is.
+_SINGLE_POWER_RANGE = (2.0 ** -60, 2.0 ** 120)
+
+
+def _half_spectrum(frame, single=False):
+    """The frame's analysis. With ``single`` its spectrum is rounded to
+    ``complex64`` (see :data:`_SINGLE_POWER_RANGE`) after the amplitude and
+    the power are taken from the ``complex128`` one."""
     spectrum = scipy.fft.rfft2(frame)
     amplitude = np.abs(spectrum)
+    weights = hermitian_weights(frame.shape[1])
+    power = bin_dot(amplitude, amplitude, weights)
+    if single:
+        low, high = _SINGLE_POWER_RANGE
+        if power > 0.0 and not low <= power <= high:
+            spectrum *= math.ldexp(1.0, -(math.frexp(power)[1] // 2))
+        spectrum = spectrum.astype(np.complex64)
     spectrum.flags.writeable = False
     amplitude.flags.writeable = False
-    weights = hermitian_weights(frame.shape[1])
-    return _Analysis(spectrum, amplitude, bin_dot(amplitude, amplitude, weights),
-                     bool(np.ptp(frame) == 0.0))
+    return _Analysis(spectrum, amplitude, power, bool(np.ptp(frame) == 0.0))
 
 
 class _LastFrame(threading.local):
@@ -216,8 +231,8 @@ def decide(prev, curr, cfg, *, step=0):
 
     t0 = time.perf_counter_ns()
     if a_prev is None:
-        a_prev = _half_spectrum(prev)
-    a_curr = _half_spectrum(curr)
+        a_prev = _half_spectrum(prev, single=True)
+    a_curr = _half_spectrum(curr, single=True)
     if _last.bits is None or _last.bits.shape != curr.shape:
         _last.bits = np.empty(curr.shape)
     np.copyto(_last.bits, curr)

@@ -61,12 +61,17 @@ def sim_freq(amp_prev, amp_curr, weights=None):
     b = np.asarray(amp_curr, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("amplitude grids must have equal dimensions")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    # A non-finite entry makes its grid's squared norm non-finite, so only a
+    # non-finite (or overflowed) squared norm needs the full scans.
+    sq_a = bin_dot(a, a, weights)
+    sq_b = bin_dot(b, b, weights)
+    if not (math.isfinite(sq_a) and math.isfinite(sq_b)) and not (
+            np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("amplitude grids contain non-finite values")
-    if np.any(a < 0.0) or np.any(b < 0.0):
+    if np.min(a, initial=0.0) < 0.0 or np.min(b, initial=0.0) < 0.0:
         raise ValueError("amplitude grids must be nonnegative")
-    norm_a = math.sqrt(bin_dot(a, a, weights))
-    norm_b = math.sqrt(bin_dot(b, b, weights))
+    norm_a = math.sqrt(sq_a)
+    norm_b = math.sqrt(sq_b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateSpectrumError("degenerate spectrum")
     return min(1.0, bin_dot(a, b, weights) / (norm_a * norm_b))
@@ -82,16 +87,22 @@ def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
     frames are cyclic shifts of each other; for real (non-cyclic) motion the
     estimate is approximate.
 
-    The inverse is ``irfft2`` on the ``W // 2 + 1`` columns of the half
+    Both spectra are rounded to ``complex64`` first, and the result is
+    defined as the correlation of those roundings: spectra passed in
+    ``complex128`` give exactly what their ``complex64`` rounding gives.
+    The cross-power spectrum is built and normalized in single precision,
+    and its inverse is ``irfft2`` on the ``W // 2 + 1`` columns of the half
     spectrum; Hermitian symmetry implies the rest, so the response equals
-    the full-spectrum ``ifft2`` one. It runs in single precision: every
-    normalized bin has unit magnitude, so its round-off stays near 1e-7 of
-    the peak, while a shift's impulse stands far above the rest of the
-    response. Neither
-    input is written to. The cross-power spectrum, its magnitude and the
-    single-precision input share 24 bytes per half-spectrum bin of this
-    thread's :func:`~freqcache.spectral.scratch` region, so a stream of
-    equal-shape frames allocates no new temporaries for them.
+    the full-spectrum ``ifft2`` one. Every normalized bin has unit
+    magnitude, so the round-off stays near 1e-7 of the peak, while a
+    shift's impulse stands far above the rest of the response. A product
+    of two bins must lie within the ``float32`` range (about 1e-38 to
+    3e38), so ``decide`` scales a spectrum whose power lies far outside it
+    by a power of two first. Neither input is written to. The cross-power
+    spectrum and its magnitude share 12 bytes per half-spectrum bin of
+    this thread's :func:`~freqcache.spectral.scratch` region, so a stream
+    of equal-shape ``complex64`` spectra allocates no new temporaries for
+    them.
     """
     h, w = shape
     if spec_prev.shape != (h, w // 2 + 1) or spec_curr.shape != spec_prev.shape:
@@ -99,7 +110,9 @@ def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
             f"half spectra {spec_prev.shape} and {spec_curr.shape} do not "
             f"match frame shape {tuple(shape)}"
         )
-    cross, mag = scratch(spec_prev.shape, np.complex128, np.float64)
+    spec_prev = np.asarray(spec_prev, dtype=np.complex64)
+    spec_curr = np.asarray(spec_curr, dtype=np.complex64)
+    cross, mag = scratch(spec_prev.shape, np.complex64, np.float32)
     np.conjugate(spec_curr, out=cross)
     cross *= spec_prev
     np.abs(cross, out=mag)
@@ -111,10 +124,7 @@ def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
     np.reciprocal(mag, out=mag)
     cross.real *= mag
     cross.imag *= mag
-    # The magnitude is spent: its 8 bytes per bin take the complex64 input.
-    single = mag.view(np.complex64)
-    np.copyto(single, cross, casting="same_kind")
-    response = scipy.fft.irfft2(single, s=(h, w), overwrite_x=True)
+    response = scipy.fft.irfft2(cross, s=(h, w), overwrite_x=True)
     di, dj = _impulse_displacement(response)
     return Displacement.from_pixels(di, dj, patch_size)
 

@@ -9,7 +9,11 @@ package's data types, frame validation and invariant checks with
 inverted on the full spectrum with ``ifft2`` and shares its peak search.
 ``sim_spatial`` is the visual-domain reference that criterion 2 sets
 against ``sim_freq``, and ``phase_correlation_of`` hands two frames to the
-package's one displacement estimator.
+package's one displacement estimator. ``sim_freq_scanned`` and
+``spectral_entropy_scanned`` restate ``sim_freq`` and ``spectral_entropy``
+with every input check a full scan and the zero bins masked out of the
+logarithm; they share the package's weighted bin sum, so they must agree
+with it bit for bit.
 """
 
 import math
@@ -20,6 +24,7 @@ import scipy.fft
 from freqcache.budget import EntropyReading
 from freqcache.compare import _position_cosines
 from freqcache.edge_refresh import cutoff_index
+from freqcache.errors import DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
 from freqcache.fusion import CacheDecision, _check_decision
 from freqcache.migration import (
@@ -28,6 +33,7 @@ from freqcache.migration import (
     _impulse_displacement,
     phase_correlation_spectra,
 )
+from freqcache.spectral import bin_dot
 
 
 class _AnalysisError(ValueError):
@@ -139,6 +145,46 @@ def phase_correlation_of(prev, curr, patch_size=1):
     return phase_correlation_spectra(scipy.fft.rfft2(prev),
                                      scipy.fft.rfft2(curr),
                                      np.shape(prev), patch_size)
+
+
+def sim_freq_scanned(amp_prev, amp_curr, weights=None):
+    """``sim_freq`` checking both grids for non-finite and then for negative
+    entries by full scans before it takes any norm."""
+    a = np.asarray(amp_prev, dtype=np.float64)
+    b = np.asarray(amp_curr, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError("amplitude grids must have equal dimensions")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("amplitude grids contain non-finite values")
+    if np.any(a < 0.0) or np.any(b < 0.0):
+        raise ValueError("amplitude grids must be nonnegative")
+    norm_a = math.sqrt(bin_dot(a, a, weights))
+    norm_b = math.sqrt(bin_dot(b, b, weights))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise DegenerateSpectrumError("degenerate spectrum")
+    return min(1.0, bin_dot(a, b, weights) / (norm_a * norm_b))
+
+
+def spectral_entropy_scanned(amplitude, weights=None):
+    """``spectral_entropy`` checking the grid by full scans before it takes
+    the total, with a zero-power bin's logarithm masked to 0."""
+    a = np.asarray(amplitude, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("amplitude grid contains non-finite values")
+    if np.any(a < 0.0):
+        raise ValueError("amplitude grid must be nonnegative")
+    total = bin_dot(a, a, weights)
+    bins = a.size if weights is None else a.shape[0] * int(np.sum(weights))
+    if bins < 2:
+        raise ValueError("amplitude grid must have at least 2 bins")
+    if total <= 0.0:
+        raise DegenerateSpectrumError("degenerate spectrum")
+    p = a * a
+    p /= total
+    log_p = np.zeros_like(p)
+    np.log(p, out=log_p, where=p > 0.0)
+    raw = -bin_dot(p, log_p, weights) + 0.0
+    return EntropyReading(raw, raw / math.log(bins), bins)
 
 
 def sim_spatial(prev, curr, patch_size, token_fn):

@@ -100,6 +100,41 @@ def test_each_frame_is_embedded_once(monkeypatch):
     assert len(cut) == 5
 
 
+def test_each_frame_is_validated_once(monkeypatch):
+    import freqcache.frame
+    from freqcache import fusion
+
+    calls = []
+    real = freqcache.frame.validate_frame
+
+    def spy(data):
+        calls.append(1)
+        return real(data)
+
+    for module in (fusion, freqcache.frame):
+        monkeypatch.setattr(module, "validate_frame", spy)
+    scene = generate_scene(
+        SceneSpec(kind="translate", height=32, width=32, length=8, seed=4,
+                  shift=(1, 2))
+    )
+    # a fresh frame, so decide cannot carry frame 0 over from earlier tests
+    frames = [frame + 1.0 for frame in scene.frames]
+    compare_domains(frames, CacheConfig(patch_size=8))
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("first,message", [
+    (np.full((32, 32), np.nan), "step 1: frame contains non-finite values"),
+    (np.ones((2, 32, 32)), "step 1: frame must be 2D"),
+    (np.ones((32, 30)), "step 1: frame shapes differ: (32, 30) vs (32, 32)"),
+])
+def test_rejected_first_frame_names_step_one(first, message):
+    # frame 0 is cut into patches only after decide has checked it
+    frames = [first, np.ones((32, 32))]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compare_domains(frames, CacheConfig(patch_size=8))
+
+
 def test_freqcache_policy_equals_run_sequence():
     scene = generate_scene(
         SceneSpec(kind="edge-inject", height=96, width=96, length=12, seed=5,

@@ -161,6 +161,17 @@ class TestDecide:
         assert sorted(d.reuse_set + d.recompute_set) == list(range(16))
         assert d.k_final == min(d.k_reuse, d.k_candidate)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -140, 2.0 ** -100, 2.0 ** 70,
+                                       2.0 ** 140])
+    def test_shift_is_found_far_from_unit_scale(self, scale):
+        # Unscaled, these frames' single-precision cross-power products
+        # would overflow or underflow float32.
+        prev = textured(57, (64, 64)) * scale
+        curr = np.roll(prev, (3, -5), axis=(0, 1))
+        d = decide(prev, curr, CFG32)
+        assert (d.displacement.di, d.displacement.dj) == (3, -5)
+        assert not d.flushed and d.k_final > 0
+
 
 def in_fresh_thread(fn, *args, **kwargs):
     """Result of ``fn(*args, **kwargs)`` run on a new thread, which starts

@@ -180,11 +180,14 @@ class TestPhaseCorrelation:
 
     @staticmethod
     def _assert_matches_oracle(prev, curr, patch_size):
-        got = phase_correlation_spectra(scipy.fft.rfft2(prev),
-                                        scipy.fft.rfft2(curr), prev.shape,
-                                        patch_size)
+        spectra = scipy.fft.rfft2(prev), scipy.fft.rfft2(curr)
+        got = phase_correlation_spectra(*spectra, prev.shape, patch_size)
         assert got == phase_correlation_full_spectrum(
             scipy.fft.fft2(prev), scipy.fft.fft2(curr), patch_size)
+        # complex128 spectra give what their complex64 rounding, the
+        # spectra decide carries, gives
+        assert got == phase_correlation_spectra(
+            *(s.astype(np.complex64) for s in spectra), prev.shape, patch_size)
 
     def test_half_spectra_are_only_read(self):
         prev = np.random.default_rng(10).random((16, 20))

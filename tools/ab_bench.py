@@ -7,11 +7,14 @@ Exports each revision with ``git archive`` into its own directory under
 ``DIR``, then runs ``perfbench/run.py --workload all --seed S`` there, one
 run at a time, for ``PAIRS`` pairs on seeds 1 to 10: the parent goes
 first on odd seeds and the change first on even ones. One more pair, the
-parent first, runs on the held-out seed 1000. Writes ``BENCH_<N>.json`` at
-the top of the repository with every result line, the decisions SHA-256
-of each workload and run, the machine facts, and per workload and
-end-to-end metric of ``BENCHMARK.json`` the medians, the parent's
-quartiles and the pairs each side won.
+parent first, runs on the held-out seed 1000. Then ``TRACED_PAIRS`` pairs
+run with ``--trace 1`` on seeds 1 to 3, alternating the same way. Writes
+``BENCH_<N>.json`` at the top of the repository with every result line,
+the decisions SHA-256 of each workload and run, the machine facts, per
+workload and end-to-end metric of ``BENCHMARK.json`` the medians, the
+parent's quartiles and the pairs each side won, and under ``per_layer``,
+per workload and per-layer metric, the medians of the traced runs and
+the pairs each side won.
 
 Each side is recorded by its commit and tree hashes. Work that is not
 committed can be measured as the revision that ``git stash create`` prints
@@ -39,15 +42,18 @@ SIDES = ("parent", "change")
 PAIRS = 10
 # perfbench's README keeps seeds 1-10 for tuning; any other is held out.
 HELD_OUT_SEED = 1000
+# Traced pairs, on seeds 1 to TRACED_PAIRS, for the per-layer metrics.
+TRACED_PAIRS = 3
 COMMAND = "python3 perfbench/run.py --workload all --seed N"
 
 
-def perfbench(tree, seed):
-    """The result line of one ``--workload all`` run in ``tree`` and the
-    decisions SHA-256 and machine facts it saved for each workload."""
+def perfbench(tree, seed, trace=0):
+    """The result line of one ``--workload all --trace TRACE`` run in
+    ``tree`` and the decisions SHA-256 and machine facts it saved for each
+    workload."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seed", str(seed)],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -67,6 +73,22 @@ def quartiles(values):
     return q1, q3
 
 
+def versus(runs, key, better):
+    """Each side's values of metric ``key``, then their medians and the
+    pairs each side won. A run that left the metric empty counts in no
+    median and no pair."""
+    values = {side: [r["result"]["metrics"][key]["value"] for r in runs[side]]
+              for side in SIDES}
+    sign = -1.0 if better == "lower" else 1.0
+    gaps = [sign * (c - p) for p, c in zip(values["parent"], values["change"])
+            if p is not None and c is not None]
+    present = {side: [v for v in values[side] if v is not None] for side in SIDES}
+    medians = {f"{side}_median": round(statistics.median(present[side]), 6)
+               if present[side] else None for side in SIDES}
+    return present, medians | {"change_wins": sum(g > 0 for g in gaps),
+                               "change_losses": sum(g < 0 for g in gaps)}
+
+
 def summarise(runs, metrics):
     """Per workload: medians, the parent's quartiles and IQR and the pairs
     each side won for every end-to-end metric, then SHA-256 agreement and
@@ -75,17 +97,10 @@ def summarise(runs, metrics):
     for name in runs["parent"][0]["sha256"]:
         entry = {}
         for metric in metrics:
-            key = f"{name}/{metric['name']}"
-            values = {side: [r["result"]["metrics"][key]["value"]
-                             for r in runs[side]] for side in SIDES}
-            sign = -1.0 if metric["better"] == "lower" else 1.0
-            gaps = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+            values, entry[metric["name"]] = versus(
+                runs, f"{name}/{metric['name']}", metric["better"])
             q1, q3 = quartiles(values["parent"])
-            entry[metric["name"]] = {
-                "parent_median": round(statistics.median(values["parent"]), 6),
-                "change_median": round(statistics.median(values["change"]), 6),
-                "change_wins": sum(g > 0 for g in gaps),
-                "change_losses": sum(g < 0 for g in gaps),
+            entry[metric["name"]] |= {
                 "parent_quartiles": [round(q1, 6), round(q3, 6)],
                 "parent_iqr": round(q3 - q1, 6),
             }
@@ -96,6 +111,15 @@ def summarise(runs, metrics):
                                   for side in SIDES}
         summary[name] = entry
     return summary
+
+
+def summarise_layers(runs, metrics):
+    """Per workload and per-layer metric: the medians of each side's
+    traced runs and the pairs each side won."""
+    return {name: {metric["name"]: versus(runs, f"{name}/{metric['name']}",
+                                          metric["better"])[1]
+                   for metric in metrics}
+            for name in runs["parent"][0]["sha256"]}
 
 
 def main(argv=None):
@@ -114,23 +138,29 @@ def main(argv=None):
     trees = {side: args.work / side for side in SIDES}
     for side in SIDES:
         export(commits[side], trees[side])
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
-    def pair(seed, parent_first):
+    def pair(seed, parent_first, trace=0):
         out = {}
         for side in (SIDES if parent_first else SIDES[::-1]):
-            result, sha256, machine = perfbench(trees[side], seed)
+            result, sha256, machine = perfbench(trees[side], seed, trace)
             out[side] = {"seed": seed, "result": result, "sha256": sha256,
                          "machine": machine}
-            print(f"ab_bench: seed {seed} {side} done", file=sys.stderr, flush=True)
+            print(f"ab_bench: seed {seed} trace {trace} {side} done",
+                  file=sys.stderr, flush=True)
         return out
 
-    runs = {side: [] for side in SIDES}
-    for seed in range(1, PAIRS + 1):
-        done = pair(seed, parent_first=seed % 2 == 1)
-        for side in SIDES:
-            runs[side].append(done[side])
+    def alternating(pairs, trace=0):
+        runs = {side: [] for side in SIDES}
+        for seed in range(1, pairs + 1):
+            done = pair(seed, seed % 2 == 1, trace)
+            for side in SIDES:
+                runs[side].append(done[side])
+        return runs
+
+    runs = alternating(PAIRS)
     held = pair(HELD_OUT_SEED, parent_first=True)
+    traced = alternating(TRACED_PAIRS, trace=1)
 
     machine = runs["change"][0]["machine"]
     bench = {
@@ -153,13 +183,21 @@ def main(argv=None):
             "decisions_sha256": {name: [r["sha256"][name] for r in runs[side]]
                                  for name in runs[side][0]["sha256"]},
         }
-    bench["summary"] = summarise(runs, metrics)
+    bench["summary"] = summarise(runs, declared["end_to_end"])
     bench["held_out"] = {
         "seed": HELD_OUT_SEED,
         "method": "one pair on a seed not used while the change was written, "
                   "the parent first",
         **{side: held[side]["result"] for side in SIDES},
         "decisions_sha256_equal": held["parent"]["sha256"] == held["change"]["sha256"],
+    }
+    bench["per_layer"] = {
+        "method": f"{TRACED_PAIRS} alternating pairs with --trace 1, seeds "
+                  f"1-{TRACED_PAIRS}, the parent first on odd seeds, run after "
+                  "the untraced ones. Span times are unscaled wall-clock.",
+        **{side: [{"seed": r["seed"], "result": r["result"]}
+                  for r in traced[side]] for side in SIDES},
+        "summary": summarise_layers(traced, declared["per_layer"]),
     }
     out = top / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
