@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .spectral import bin_dot, scratch
+from .spectral import _check_weights, bin_dot, scratch
 
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
@@ -33,7 +33,7 @@ class EntropyReading:
     bin_count: int
 
 
-def spectral_entropy(amplitude, weights=None):
+def spectral_entropy(amplitude, weights=None, *, power=None):
     """Shannon entropy of the normalized power spectrum.
 
     Power is the squared amplitude, normalized to a distribution over all
@@ -41,17 +41,24 @@ def spectral_entropy(amplitude, weights=None):
     in nats and also reported divided by log(bin count) so the reading lands
     in [0, 1] regardless of grid size. Pass the ``rfft2`` half spectrum with
     its :func:`~freqcache.spectral.hermitian_weights` to read the full
-    spectrum it stands for, bin count included. The distribution and its
+    spectrum it stands for, bin count included. ``power``, if given, is the
+    caller's own ``bin_dot(amplitude, amplitude, weights)`` of an amplitude
+    that ``np.abs`` returned: the total is taken from it, and the sign scan
+    that nonnegative grid cannot fail is skipped. The distribution and its
     logarithm are written to this thread's
     :func:`~freqcache.spectral.scratch` region.
     """
     a = np.asarray(amplitude, dtype=np.float64)
-    total = bin_dot(a, a, weights)
+    if power is None:
+        total = bin_dot(a, a, weights)
+    else:
+        _check_weights(a, weights)
+        total = power
     # A non-finite entry makes the total non-finite, so only a non-finite
     # (or overflowed) total needs the full scan.
     if not math.isfinite(total) and not np.isfinite(a).all():
         raise ValueError("amplitude grid contains non-finite values")
-    if np.min(a, initial=0.0) < 0.0:
+    if power is None and np.min(a, initial=0.0) < 0.0:
         raise ValueError("amplitude grid must be nonnegative")
     bins = a.size if weights is None else a.shape[0] * int(np.sum(weights))
     if bins < 2:

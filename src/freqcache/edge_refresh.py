@@ -57,10 +57,21 @@ def patch_energy(grid):
     r = residual.reshape(rows, p, cols, p)
     energies = np.einsum("rpqs,rpqs->rq", r, r)
     # Round-off leaves ~1e-30 on a flat patch; pin it to 0, so a flat frame
-    # has no spread for refresh_mask to flag.
-    hi = x.max(axis=1).reshape(rows, cols, p).max(axis=2)
-    lo = x.min(axis=1).reshape(rows, cols, p).min(axis=2)
-    energies[hi == lo] = 0.0
+    # has no spread for refresh_mask to flag. Only a patch whose energy is
+    # tiny next to its squared DC coefficient (corner [0, 0], P times its
+    # mean) can be flat: on a flat patch every residual pixel is round-off
+    # of the c-term products, about 4cPeps of the grey level, so the energy
+    # stays below (4cPeps)^2 dc^2 <= 1e-26 dc^2 for P <= 32. The exact
+    # max == min test runs on the patches under 2^-40 dc^2 only. A limit
+    # that overflows is inf and a NaN fails ">", so such patches are tested.
+    with np.errstate(over="ignore"):
+        limit = np.square(corner.reshape(rows, c, cols, c)[:, 0, :, 0]
+                          * 2.0 ** -20)
+    i, j = np.divmod(np.flatnonzero(~(energies > limit)), cols)
+    if i.size:
+        blocks = grid.blocks()[i, j]
+        flat = blocks.max(axis=(1, 2)) == blocks.min(axis=(1, 2))
+        energies[i[flat], j[flat]] = 0.0
     return energies
 
 

@@ -152,7 +152,8 @@ def topk_ascending(candidates, energies, k):
 class _Analysis(NamedTuple):
     """What ``decide`` reads of one validated frame: its read-only ``rfft2``
     half spectrum (``complex64`` in ``decide``) and amplitude, the power of
-    its full spectrum, and whether it is constant."""
+    its full spectrum (the squared norm ``sim_freq`` and the entropy take
+    from it), and whether it is constant."""
 
     spectrum: np.ndarray
     amplitude: np.ndarray
@@ -252,7 +253,8 @@ def decide(prev, curr, cfg, *, step=0):
     align = None
     if diagnostic is None:
         t0 = time.perf_counter_ns()
-        sim = sim_freq(a_prev.amplitude, a_curr.amplitude, weights)
+        sim = sim_freq(a_prev.amplitude, a_curr.amplitude, weights,
+                       powers=(a_prev.power, a_curr.power))
         # Release prev's amplitude before the correlation allocates its
         # inverse, which can then reuse those bytes instead of fresh pages.
         spectrum_prev, a_prev = a_prev.spectrum, None
@@ -265,7 +267,8 @@ def decide(prev, curr, cfg, *, step=0):
     alpha, k_reuse = 0.0, 0
     if a_curr.power > 0.0:
         t0 = time.perf_counter_ns()
-        entropy = spectral_entropy(a_curr.amplitude, weights)
+        entropy = spectral_entropy(a_curr.amplitude, weights,
+                                   power=a_curr.power)
         alpha, k_reuse = reuse_budget(entropy.normalized, cfg.budget, n)
         timings["budget"] = (time.perf_counter_ns() - t0) // 1000
 

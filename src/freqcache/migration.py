@@ -12,7 +12,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DegenerateSpectrumError
-from .spectral import bin_dot, scratch
+from .spectral import _check_weights, bin_dot, scratch
 
 # Added to the cross-power magnitude so dead bins do not divide by zero.
 CROSS_POWER_EPS = 1e-12
@@ -49,26 +49,34 @@ def _to_patch_units(d, patch_size):
     return sign * ((2 * abs(d) + p - 1) // (2 * p))
 
 
-def sim_freq(amp_prev, amp_curr, weights=None):
+def sim_freq(amp_prev, amp_curr, weights=None, *, powers=None):
     """Cosine similarity of two amplitude spectra, flattened to vectors.
 
     Nonnegative inputs put the score in [0, 1]; cyclic translation of the
     underlying frame leaves it unchanged. Pass ``rfft2`` half spectra with
     their :func:`~freqcache.spectral.hermitian_weights` to score the full
-    spectra they stand for.
+    spectra they stand for. ``powers``, if given, is the caller's own
+    ``(bin_dot(a, a, weights), bin_dot(b, b, weights))`` of two amplitudes
+    that ``np.abs`` returned: the squared norms are taken from it, and the
+    sign scan those nonnegative grids cannot fail is skipped.
     """
     a = np.asarray(amp_prev, dtype=np.float64)
     b = np.asarray(amp_curr, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("amplitude grids must have equal dimensions")
+    if powers is None:
+        sq_a = bin_dot(a, a, weights)
+        sq_b = bin_dot(b, b, weights)
+    else:
+        _check_weights(a, weights)
+        sq_a, sq_b = powers
     # A non-finite entry makes its grid's squared norm non-finite, so only a
     # non-finite (or overflowed) squared norm needs the full scans.
-    sq_a = bin_dot(a, a, weights)
-    sq_b = bin_dot(b, b, weights)
     if not (math.isfinite(sq_a) and math.isfinite(sq_b)) and not (
             np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("amplitude grids contain non-finite values")
-    if np.min(a, initial=0.0) < 0.0 or np.min(b, initial=0.0) < 0.0:
+    if powers is None and (np.min(a, initial=0.0) < 0.0
+                           or np.min(b, initial=0.0) < 0.0):
         raise ValueError("amplitude grids must be nonnegative")
     norm_a = math.sqrt(sq_a)
     norm_b = math.sqrt(sq_b)

@@ -71,9 +71,16 @@ def bin_dot(a, b, weights=None):
     """
     if weights is None:
         return float(np.dot(a.ravel(), b.ravel()))
-    if a.ndim != 2 or np.shape(weights) != (a.shape[1],):
+    _check_weights(a, weights)
+    return float(np.einsum("ij,ij->j", a, b) @ weights)
+
+
+def _check_weights(a, weights):
+    """Raise ValueError unless ``weights`` holds one weight per column of
+    the 2D grid ``a`` (None, one weight per entry, always fits)."""
+    if weights is not None and (a.ndim != 2
+                                or np.shape(weights) != (a.shape[1],)):
         raise ValueError(
             f"need one weight per column of a 2D grid, got {np.shape(weights)} "
             f"for shape {a.shape}"
         )
-    return float(np.einsum("ij,ij->j", a, b) @ weights)

@@ -13,7 +13,8 @@ package's one displacement estimator. ``sim_freq_scanned`` and
 ``spectral_entropy_scanned`` restate ``sim_freq`` and ``spectral_entropy``
 with every input check a full scan and the zero bins masked out of the
 logarithm; they share the package's weighted bin sum, so they must agree
-with it bit for bit.
+with it bit for bit. ``patch_energy_scanned`` likewise restates
+``patch_energy`` with the flatness test run on every patch.
 """
 
 import math
@@ -23,7 +24,7 @@ import scipy.fft
 
 from freqcache.budget import EntropyReading
 from freqcache.compare import _position_cosines
-from freqcache.edge_refresh import cutoff_index
+from freqcache.edge_refresh import _dct_rows, cutoff_index
 from freqcache.errors import DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
 from freqcache.fusion import CacheDecision, _check_decision
@@ -82,6 +83,26 @@ def naive_patch_energy(patch, cutoff):
                 continue
             total += coeffs[u, v] ** 2
     return total
+
+
+def patch_energy_scanned(grid):
+    """``patch_energy`` with every patch tested for flatness by a whole-frame
+    max == min scan. The projection is restated with the package's DCT rows
+    and the same products, so it must agree with ``patch_energy`` bit for
+    bit, whichever patches that tests."""
+    p = grid.patch_size
+    c = cutoff_index(p)
+    rows, cols = grid.rows, grid.cols
+    dct = _dct_rows(p, c)
+    x = grid.frame.reshape(rows, p, cols * p)
+    corner = np.matmul(dct, x).reshape(-1, p) @ dct.T
+    residual = x - np.matmul(dct.T, (corner @ dct).reshape(rows, c, -1))
+    r = residual.reshape(rows, p, cols, p)
+    energies = np.einsum("rpqs,rpqs->rq", r, r)
+    hi = x.max(axis=1).reshape(rows, cols, p).max(axis=2)
+    lo = x.min(axis=1).reshape(rows, cols, p).min(axis=2)
+    energies[hi == lo] = 0.0
+    return energies
 
 
 def brute_force_displacement(prev, curr):

@@ -3,14 +3,16 @@ a squared norm first and a full ``isfinite`` scan only when it is not
 finite, then one ``min`` for the sign. They must reject what the full scans
 of ``oracles.sim_freq_scanned`` and ``oracles.spectral_entropy_scanned``
 reject, with the same exception and message, and otherwise return the same
-bits."""
+bits. Given the squared norms a caller already holds (``powers=`` and
+``power=``), they must return the same bits again and keep every check
+that does not stand for the sign of an ``np.abs`` output."""
 
 import numpy as np
 import pytest
 import scipy.fft
 
 from freqcache import sim_freq, spectral_entropy
-from freqcache.spectral import hermitian_weights
+from freqcache.spectral import bin_dot, hermitian_weights
 
 from oracles import sim_freq_scanned, spectral_entropy_scanned
 
@@ -44,6 +46,14 @@ def test_values_equal_full_scans(a, b, weights):
     for w in (weights, None):
         assert sim_freq(a, b, w) == sim_freq_scanned(a, b, w)
         assert spectral_entropy(a, w) == spectral_entropy_scanned(a, w)
+
+
+@pytest.mark.parametrize("a,b,weights", half_amplitudes(50, 0))
+def test_values_equal_with_carried_powers(a, b, weights):
+    for w in (weights, None):
+        powers = (bin_dot(a, a, w), bin_dot(b, b, w))
+        assert sim_freq(a, b, w, powers=powers) == sim_freq(a, b, w)
+        assert spectral_entropy(a, w, power=powers[0]) == spectral_entropy(a, w)
 
 
 def spoiled(amp, value, at=(1, 2)):
@@ -107,3 +117,36 @@ def test_overflowing_finite_entry_behaves_like_full_scans():
         sim_freq_scanned, huge, OTHER, WEIGHTS)
     assert outcome(spectral_entropy, huge, WEIGHTS) == outcome(
         spectral_entropy_scanned, huge, WEIGHTS)
+
+
+def test_carried_powers_keep_shape_weights_and_degenerate_checks():
+    zero = np.zeros_like(AMP)
+    power = bin_dot(AMP, AMP, WEIGHTS)
+    cases = [
+        (sim_freq, (AMP, OTHER[:, :-1], WEIGHTS), {"powers": (power, power)}),
+        (sim_freq, (AMP, OTHER, WEIGHTS[:-1]), {"powers": (power, power)}),
+        (sim_freq, (AMP, zero, WEIGHTS), {"powers": (power, 0.0)}),
+        (sim_freq, (zero, OTHER, WEIGHTS[:-1]), {"powers": (0.0, power)}),
+        (spectral_entropy, (AMP, WEIGHTS[:-1]), {"power": power}),
+        (spectral_entropy, (zero, WEIGHTS), {"power": 0.0}),
+        (spectral_entropy, (zero[:1, :1], WEIGHTS[:-1]), {"power": 0.0}),
+        (spectral_entropy, (np.ones(1), None), {"power": 1.0}),
+    ]
+    for fn, args, carried in cases:
+        got = outcome(lambda *a: fn(*a, **carried), *args)
+        assert isinstance(got, tuple)
+        assert got == outcome(fn, *args)
+
+
+def test_non_finite_carried_power_still_scans():
+    # An overflowed spectrum gives an infinite power; the full scan then
+    # reports the entry as it did without the carried power.
+    bad = spoiled(AMP, np.inf)
+    inf = bin_dot(bad, bad, WEIGHTS)
+    power = bin_dot(OTHER, OTHER, WEIGHTS)
+    for fn, args, carried in (
+            (sim_freq, (bad, OTHER, WEIGHTS), {"powers": (inf, power)}),
+            (spectral_entropy, (bad, WEIGHTS), {"power": inf})):
+        got = outcome(lambda *a: fn(*a, **carried), *args)
+        assert got == (ValueError, outcome(fn, *args)[1])
+        assert got[1].endswith("non-finite values")

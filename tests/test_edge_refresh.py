@@ -16,7 +16,12 @@ from freqcache import (
 )
 from freqcache.scenes import SceneSpec, generate_scene
 
-from oracles import naive_dct2, naive_patch_energy, population_stats
+from oracles import (
+    naive_dct2,
+    naive_patch_energy,
+    patch_energy_scanned,
+    population_stats,
+)
 
 
 def dropped_coefficients(p):
@@ -38,6 +43,45 @@ def dropped_coefficients(p):
             else:
                 assert e == pytest.approx(9.0, rel=1e-12)
     return dropped
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+GREY_LEVELS = [0.0, -0.0, TINY, -3 * TINY, 2.0 ** -1040, 2.0 ** -1022] + [
+    s * 2.0 ** k for k in range(-1000, 1001, 40) for s in (1, -1)]
+
+
+def flat_patch_frames(p, seed, levels=GREY_LEVELS, rows=3, cols=4):
+    """Frames of P x P patches, each flat, two-level, flat but one pixel a
+    ulp away, or random, one frame per grey level (by default +-0,
+    subnormals and +-2^k up to 2^1000), each patch's level scaled by a
+    factor in [1, 2)."""
+    rng = np.random.default_rng(seed)
+    for shift, level in enumerate(levels):
+        frame = np.empty((rows * p, cols * p))
+        for i in range(rows):
+            for j in range(cols):
+                g = level * rng.uniform(1.0, 2.0)
+                patch = np.full((p, p), g)
+                kind = (i * cols + j + shift) % 4
+                if kind == 1:
+                    patch[:, : p // 2] = 2.0 * g
+                elif kind == 2:
+                    patch[rng.integers(p), rng.integers(p)] = np.nextafter(
+                        g, np.inf)
+                elif kind == 3:
+                    patch = g * rng.random((p, p))
+                frame[i * p:(i + 1) * p, j * p:(j + 1) * p] = patch
+        yield frame
+
+
+def assert_pins_like_whole_frame_scan(frames, p):
+    """``patch_energy`` tests only the patches its DCT corner lets be flat;
+    it must pin exactly the ones a max == min scan of every patch pins, and
+    leave every other energy's bits alone."""
+    for frame in frames:
+        grid = PatchGrid(frame, p)
+        assert np.array_equal(patch_energy(grid).view(np.uint64),
+                              patch_energy_scanned(grid).view(np.uint64))
 
 
 class TestHighpassFilter:
@@ -75,6 +119,20 @@ class TestPatchEnergy:
             decision = decide(rng.random((64, 96)), frame,
                               CacheConfig(patch_size=8))
             assert decision.refresh_set == ()
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 8, 16, 32])
+    def test_flat_patches_pinned_like_whole_frame_scan(self, p):
+        assert_pins_like_whole_frame_scan(flat_patch_frames(p, seed=p), p)
+
+    @pytest.mark.parametrize("p", [8, 32])
+    def test_overflowing_projection_pins_like_whole_frame_scan(self, p):
+        # Near the largest float the projection overflows to inf and NaN
+        # (NumPy warns of it); the flat patches are still the ones pinned.
+        levels = [s * 2.0 ** k for k in (1016, 1022) for s in (1, -1)]
+        frames = [*flat_patch_frames(p, seed=p, levels=levels),
+                  np.full((3 * p, 4 * p), 1.5 * 2.0 ** 1023)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_pins_like_whole_frame_scan(frames, p)
 
     @pytest.mark.parametrize("p", [2, 3, 8, 16, 32])
     def test_identical_patches_score_bit_identical(self, p):

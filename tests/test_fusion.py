@@ -34,10 +34,11 @@ from freqcache import (
     step,
     topk_ascending,
 )
-from freqcache import cli, fusion, spectral
+from freqcache import budget, cli, fusion, migration, spectral
 from freqcache.bench import WARMUP, bench
 from freqcache.compare import compare_domains
 from freqcache.frameio import save_rawf32
+from freqcache.migration import alignment_mask
 from freqcache.records import decision_record
 
 from oracles import assert_decision_equivalence, decide_reference
@@ -309,6 +310,30 @@ class TestSpectrumCarryOver:
         in_fresh_thread(bench, CacheConfig(patch_size=16), 32, 32, 4)
         assert len(calls) == 2 * (4 + WARMUP)
 
+    def test_carried_decide_sums_bins_three_times(self, monkeypatch):
+        # The gate and the entropy read the carried powers, so a carried
+        # decide sums bins only for the new frame's power, the gate's cross
+        # term and the entropy; recomputing the powers took six sums.
+        calls = []
+        real = spectral.bin_dot
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (fusion, migration, budget):
+            monkeypatch.setattr(module, "bin_dot", spy)
+        frames = shifted_stream(49, (64, 64))
+
+        def carried_sums():
+            decide(frames[0], frames[1], CFG32)
+            calls.clear()
+            d = decide(frames[1], frames[2], CFG32, step=2)
+            assert not d.flushed
+            return len(calls)
+
+        assert in_fresh_thread(carried_sums) == 3
+
 
 def shifted_stream(seed, shape, n=3, shift=(5, -11)):
     frames = [textured(seed, shape)]
@@ -421,6 +446,69 @@ class TestDecideReference:
         fast = decide(frame, frame, CFG32)
         ref = decide_reference(frame, frame, CFG32)
         assert_decision_equivalence(fast, ref)
+
+
+# Each entry breaks one invariant of a valid decision that reuses at least
+# two patches, none of them in its last row; the message the check gives.
+BROKEN = {
+    "overlapping sets": (lambda d: dataclasses.replace(
+        d, recompute_set=(d.reuse_set[0],) + d.recompute_set[1:]),
+        "do not partition"),
+    "missing index": (lambda d: dataclasses.replace(
+        d, recompute_set=d.recompute_set[1:]), "do not partition"),
+    "k_final mismatch": (lambda d: dataclasses.replace(
+        d, k_final=d.k_final - 1), "budget rule"),
+    "flushed step reuses": (lambda d: dataclasses.replace(
+        d, flushed=True), "flushed step must reuse nothing"),
+    "reuse outside alignment": (lambda d: dataclasses.replace(
+        d, displacement=Displacement.from_pixels(8 * (d.rows - 1), 0, 8)),
+        "violates alignment/refresh safety"),
+    "reuse in refresh set": (lambda d: dataclasses.replace(
+        d, refresh_set=tuple(sorted(d.refresh_set + d.reuse_set[:1]))),
+        "violates alignment/refresh safety"),
+}
+
+
+class TestCheckDecision:
+    @staticmethod
+    def valid():
+        frame = textured(40, (64, 64))
+        d = decide(frame, frame, CFG32)
+        assert not d.flushed and d.k_final >= 2
+        assert min(d.reuse_set) < (d.rows - 1) * d.cols
+        return d
+
+    @staticmethod
+    def check(d):
+        """``_check_decision`` with the alignment and refresh masks that the
+        decision's own displacement and ``refresh_set`` give."""
+        n = d.rows * d.cols
+        align = alignment_mask(d.displacement,
+                               PatchGrid(np.zeros((d.rows * 8, d.cols * 8)), 8))
+        fresh = np.zeros(n, dtype=bool)
+        fresh[list(d.refresh_set)] = True
+        fusion._check_decision(d, align, fresh.reshape(d.rows, d.cols), n)
+
+    def test_valid_decision_passes(self):
+        self.check(self.valid())
+
+    @pytest.mark.parametrize("name", BROKEN)
+    def test_broken_decision_raises(self, name):
+        breaks, message = BROKEN[name]
+        with pytest.raises(InvariantError, match=message):
+            self.check(breaks(self.valid()))
+
+    def test_broken_decisions_raise_under_python_O(self):
+        paths = [str(Path(freqcache.__file__).parents[1]), str(Path(__file__).parent)]
+        code = ("import sys, test_fusion; t = test_fusion.TestCheckDecision(); "
+                "[t.test_broken_decision_raises(name) "
+                "for name in test_fusion.BROKEN]; "
+                "print(sys.flags.optimize)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1"
 
 
 class TestStep:

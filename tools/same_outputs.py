@@ -7,11 +7,13 @@ Exports each revision with ``git archive`` into a temporary directory and
 runs its CLI (``python -m freqcache`` with that revision's ``src`` first on
 ``PYTHONPATH``) on each scene of ``SCENES``: the criterion-7 chain
 ``synth``, ``analyze``, ``masks``, then ``compare`` from the scene flags and
-from ``--input``. Every command runs in the scene's output directory with
-relative paths, so its stdout names the same files on both sides; each
-stdout is saved next to the outputs. Then every file of the two output
-trees is compared byte for byte, except manifests, which hold wall-clock
-times. Prints one line per difference and exits 1 if there is any, 0 if
+from ``--input``. The flat-patch scene is no synthetic kind: its rawf32
+input is written by :func:`write_flat_patches`, and it runs ``analyze``,
+``masks`` and ``compare --input``. Every command runs in the scene's
+output directory with relative paths, so its stdout names the same files
+on both sides; each stdout is saved next to the outputs. Then every file
+of the two output trees is compared byte for byte, except manifests,
+which hold wall-clock times. Prints one line per difference and exits 1 if there is any, 0 if
 none. Running outside a git repository, a revision that is not a commit
 of it (see revisions.py), or a command that fails on either side stops
 the check with status 2. Uses the standard library only.
@@ -19,6 +21,8 @@ the check with status 2. Uses the standard library only.
 
 import argparse
 import os
+import random
+import struct
 import subprocess
 import sys
 import tempfile
@@ -30,7 +34,7 @@ TOOL = "same_outputs"
 
 SIDES = ("parent", "change")
 # name: (synth and compare scene flags, patch size). The first is the
-# criterion-7 scene.
+# criterion-7 scene; one without flags reads write_flat_patches' input.
 SCENES = {
     "translate-64-p8": (["--kind", "translate", "--height", "64", "--width",
                          "64", "--length", "8", "--seed", "21",
@@ -43,23 +47,66 @@ SCENES = {
                                 "--seed", "11"], 16),
     "static-112-p8": (["--kind", "static", "--height", "112", "--width",
                        "112", "--length", "8", "--seed", "7"], 8),
+    "flat-patches-64-p8": (None, 8),
 }
 
 
+def write_flat_patches(path, size=64, patch_size=8):
+    """Write a rawf32 sequence of ``size`` x ``size`` frames whose patches
+    are flat at several grey levels: a textured frame, a frame half of
+    flat patches and half textured, two whole-patch shifts of it, a frame
+    of flat patches only and a shift of it, a constant frame, a black
+    frame, and the textured frame and a shift of it."""
+    rng = random.Random(15)
+    levels = (0.37, 0.125, 0.9, 0.5, 1.0, 0.0, 0.61)
+    n = size // patch_size
+
+    def frame(pixel):
+        return [[pixel(i, j) for j in range(size)] for i in range(size)]
+
+    def roll(rows, di, dj):
+        return [[rows[(i - di) % size][(j - dj) % size] for j in range(size)]
+                for i in range(size)]
+
+    def level(i, j):
+        return levels[((i // patch_size) * n + j // patch_size) % len(levels)]
+
+    textured = frame(lambda i, j: rng.random())
+    mixed = frame(lambda i, j: level(i, j) if (i // patch_size
+                                               + j // patch_size) % 2
+                  else textured[i][j])
+    flat = frame(level)
+    p = patch_size
+    frames = [textured, mixed, roll(mixed, p, 2 * p),
+              roll(mixed, 2 * p, 4 * p),
+              flat, roll(flat, p, p), frame(lambda i, j: 0.37),
+              frame(lambda i, j: 0.0), textured, roll(textured, 3, 5)]
+    with open(path, "wb") as fh:
+        fh.write(b"FQC1" + struct.pack("<III", size, size, len(frames)))
+        for rows in frames:
+            fh.write(struct.pack(f"<{size * size}f",
+                                 *(v for row in rows for v in row)))
+
+
 def commands(scene, patch_size):
-    """``(name, argv)`` of each CLI run on one scene, in order."""
+    """``(name, argv)`` of each CLI run on one scene, in order; a scene
+    without flags reads a ``scene.fqc`` that is already written."""
     p = ["--patch-size", str(patch_size)]
-    return [
-        ("synth", ["synth", *scene, *p, "--out", "scene.fqc"]),
+    analyze_masks = [
         ("analyze", ["analyze", "--input", "scene.fqc", *p,
                      "--out-dir", "analysis"]),
         ("masks", ["masks", "--decisions", "analysis/decisions.jsonl",
                    "--out-dir", "masks"]),
-        ("compare-scene", ["compare", *scene, *p, "--out-dir",
-                           "compare-scene"]),
-        ("compare-input", ["compare", "--input", "scene.fqc", *p,
-                           "--out-dir", "compare-input"]),
     ]
+    compare_input = ("compare-input", ["compare", "--input", "scene.fqc", *p,
+                                       "--out-dir", "compare-input"])
+    if scene is None:
+        return [*analyze_masks, compare_input]
+    return [("synth", ["synth", *scene, *p, "--out", "scene.fqc"]),
+            *analyze_masks,
+            ("compare-scene", ["compare", *scene, *p, "--out-dir",
+                               "compare-scene"]),
+            compare_input]
 
 
 def run_side(tree, out):
@@ -69,6 +116,8 @@ def run_side(tree, out):
     for name, (scene, patch_size) in SCENES.items():
         cwd = out / name
         (cwd / "stdout").mkdir(parents=True)
+        if scene is None:
+            write_flat_patches(cwd / "scene.fqc", patch_size=patch_size)
         for i, (label, argv) in enumerate(commands(scene, patch_size)):
             proc = subprocess.run([sys.executable, "-m", "freqcache", *argv],
                                   cwd=cwd, env=env, stdin=subprocess.DEVNULL,
