@@ -22,7 +22,7 @@ from . import __version__
 from .bench import bench
 from .budget import BudgetConfig
 from .compare import check_cosine, compare_domains
-from .frame import PatchGrid
+from .frame import grid_shape
 from .frameio import export_masks, load_frames, save_rawf32
 from .fusion import CacheConfig, run_sequence
 from .records import read_decisions_jsonl, write_decisions_jsonl, write_metrics_csv
@@ -154,10 +154,11 @@ def build_cache_config(settings):
 
 
 def _load_input(args, settings):
-    """The frames of ``--input``, checked to tile by the patch size."""
+    """The frames of ``--input``, their shape checked to tile by the patch
+    size; each frame is read when the stream reaches it."""
     frames = _read("--input", args.input, load_frames, args.format)
     with settings.blame("patch_size"):
-        PatchGrid(frames[0], settings["patch_size"])
+        grid_shape(frames.shape, settings["patch_size"])
     return frames
 
 

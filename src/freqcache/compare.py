@@ -16,6 +16,8 @@ compare each patch with the patch at the same grid position of the previous
 frame, read from one block view of each frame.
 """
 
+import collections
+
 import numpy as np
 import scipy.fft
 
@@ -74,21 +76,29 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     reused = {name: [] for name in names}
     false_reuse = dict.fromkeys(names, 0)
 
-    def tokens(t):
-        # ``stream`` yields step t after ``decide`` validated frames t-1 and
-        # t; converting again gives the array it checked (the same one for
-        # a float64 array).
-        grid = PatchGrid._of_valid(np.asarray(frames[t], dtype=np.float64),
+    def tokens(frame):
+        # ``stream`` yields a step after ``decide`` validated its two frames;
+        # converting again gives the array it checked (the same one for a
+        # float64 array).
+        grid = PatchGrid._of_valid(np.asarray(frame, dtype=np.float64),
                                    cfg.patch_size)
         return _baseline_tokens(grid.blocks())
 
+    # The last two frames the stream read, so that no frame is read twice.
+    held = collections.deque(maxlen=2)
+
+    def walk():
+        for frame in frames:
+            held.append(frame)
+            yield frame
+
     # A frame's tokens are ``curr`` for one step and ``prev`` for the next.
     prev = None
-    for decision in stream(frames, cfg):
+    for decision in stream(walk(), cfg):
         t = decision.step
         if prev is None:
-            prev = tokens(t - 1)
-        curr = tokens(t)
+            prev = tokens(held[0])
+        curr = tokens(held[1])
         visual_cos, naive_cos = map(_position_cosines, prev, curr)
         prev = curr
         sets = {

@@ -20,6 +20,21 @@ def validate_frame(data):
     return arr
 
 
+def grid_shape(shape, patch_size):
+    """Rows and columns of the ``patch_size`` patches that tile a frame of
+    ``shape``; ValueError unless the patch size is at least 2 and divides
+    both dimensions."""
+    if patch_size < 2:
+        raise ValueError(f"patch size must be >= 2, got {patch_size}")
+    height, width = shape
+    if height % patch_size or width % patch_size:
+        raise ValueError(
+            f"patch size {patch_size} does not divide frame dimensions "
+            f"{height}x{width}"
+        )
+    return height // patch_size, width // patch_size
+
+
 class PatchGrid:
     """Partition of a frame into non-overlapping square patches.
 
@@ -40,19 +55,9 @@ class PatchGrid:
         return grid
 
     def _tile(self, frame, patch_size):
-        patch_size = int(patch_size)
-        if patch_size < 2:
-            raise ValueError(f"patch size must be >= 2, got {patch_size}")
-        height, width = frame.shape
-        if height % patch_size or width % patch_size:
-            raise ValueError(
-                f"patch size {patch_size} does not divide frame dimensions "
-                f"{height}x{width}"
-            )
+        self.patch_size = int(patch_size)
+        self.rows, self.cols = grid_shape(frame.shape, self.patch_size)
         self.frame = frame
-        self.patch_size = patch_size
-        self.rows = height // patch_size
-        self.cols = width // patch_size
 
     @property
     def n_patches(self):

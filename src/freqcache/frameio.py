@@ -8,15 +8,22 @@ Supported formats:
   count, little-endian) followed by ``T*H*W`` little-endian float32 values.
 
 Parse failures report the byte offset at which the file became unreadable.
+:func:`load_frames` checks a file's layout up front and each frame's pixels
+when that frame is read, so a bad frame is reported when it is reached.
 """
 
+import math
+import operator
+import os
 import struct
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FrameParseError
 from .frame import validate_frame
+from .spectral import scratch
 
 RAWF32_MAGIC = b"FQC1"
 RAWF32_HEADER = 16
@@ -113,40 +120,103 @@ def save_rawf32(path, frames):
         fh.write(stack.tobytes())
 
 
+class FrameSequence(Sequence):
+    """The frames of a file or a directory, read when they are indexed.
+
+    ``len`` and ``shape`` (that of frame 0) are known up front. Indexing
+    frame t reads, converts and checks it then, and returns a fresh float64
+    array each time, so a walk over the frames holds only the ones its
+    caller keeps. No file stays open between reads.
+    """
+
+    def __init__(self, count, shape):
+        self._count = count
+        self.shape = shape
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, t):
+        t = operator.index(t)
+        if t < 0:
+            t += self._count
+        if not 0 <= t < self._count:
+            raise IndexError(f"frame index out of range for {self._count} frames")
+        try:
+            return self._read(t)
+        except OSError as exc:
+            raise FrameParseError(
+                f"{exc.filename}: frame {t}: {exc.strerror}") from None
+
+
+class _Rawf32Frames(FrameSequence):
+    def __init__(self, path, count, shape):
+        super().__init__(count, shape)
+        self.path = path
+
+    def _read(self, t):
+        # Each frame is staged as float32 in this thread's scratch region;
+        # only the float64 copy leaves this call.
+        size = 4 * math.prod(self.shape)
+        start = RAWF32_HEADER + t * size
+        raw, = scratch((size,), np.uint8)
+        with open(self.path, "rb") as fh:
+            fh.seek(start)
+            if fh.readinto(raw) < size:
+                raise FrameParseError(
+                    f"{self.path}: truncated rawf32 payload, expected "
+                    f"{RAWF32_HEADER + self._count * size} bytes",
+                    offset=os.fstat(fh.fileno()).st_size,
+                )
+        stage = raw.view("<f4").reshape(self.shape)
+        # A float64 sum of finite float32 values cannot overflow, so it is
+        # finite iff every value is.
+        if not math.isfinite(stage.sum(dtype=np.float64)):
+            raise FrameParseError(f"{self.path}: frame {t} contains non-finite values")
+        return stage.astype(np.float64)
+
+
+class _NetpbmFrames(FrameSequence):
+    def __init__(self, files):
+        super().__init__(len(files), read_netpbm(files[0]).shape)
+        self.files = files
+
+    def _read(self, t):
+        return read_netpbm(self.files[t])
+
+
 def load_rawf32(path):
+    """The frames of a rawf32 file as a :class:`FrameSequence`; its header
+    and size are checked here, each frame's values when it is read."""
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < RAWF32_HEADER:
-        raise FrameParseError(f"{path}: truncated rawf32 header", offset=len(data))
-    if data[:4] != RAWF32_MAGIC:
+    with open(path, "rb") as fh:
+        header = fh.read(RAWF32_HEADER)
+        size = os.fstat(fh.fileno()).st_size
+    if len(header) < RAWF32_HEADER:
+        raise FrameParseError(f"{path}: truncated rawf32 header", offset=len(header))
+    if header[:4] != RAWF32_MAGIC:
         raise FrameParseError(
-            f"{path}: bad magic {data[:4]!r}, expected {RAWF32_MAGIC!r}", offset=0
+            f"{path}: bad magic {header[:4]!r}, expected {RAWF32_MAGIC!r}", offset=0
         )
-    height, width, count = struct.unpack("<III", data[4:16])
+    height, width, count = struct.unpack("<III", header[4:16])
     if height < 1 or width < 1 or count < 1:
         raise FrameParseError(
             f"{path}: invalid header dimensions {height}x{width}x{count}", offset=4
         )
     expected = RAWF32_HEADER + 4 * height * width * count
-    if len(data) < expected:
+    if size < expected:
         raise FrameParseError(
             f"{path}: truncated rawf32 payload, expected {expected} bytes",
-            offset=len(data),
+            offset=size,
         )
-    if len(data) > expected:
+    if size > expected:
         raise FrameParseError(f"{path}: trailing bytes after payload",
                               offset=expected)
-    values = np.frombuffer(data, dtype="<f4", count=height * width * count,
-                           offset=RAWF32_HEADER)
-    frames = values.reshape(count, height, width).astype(np.float64)
-    for t in range(count):
-        if not np.all(np.isfinite(frames[t])):
-            raise FrameParseError(f"{path}: frame {t} contains non-finite values")
-    return [frames[t] for t in range(count)]
+    return _Rawf32Frames(path, count, (height, width))
 
 
 def load_frames(path, fmt="auto"):
-    """Load an ordered frame list.
+    """The frames of ``path`` as a :class:`FrameSequence`.
 
     ``fmt`` may be ``rawf32``, ``pgm`` (a netpbm file, or a directory of
     them read in sorted order), or ``auto`` to infer from the path.
@@ -169,8 +239,8 @@ def load_frames(path, fmt="auto"):
             )
             if not files:
                 raise FrameParseError(f"{path}: no .pgm/.ppm files found")
-            return [read_netpbm(p) for p in files]
-        return [read_netpbm(path)]
+            return _NetpbmFrames(files)
+        return _NetpbmFrames([path])
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -418,15 +418,23 @@ def stream(frames, cfg):
     """Yield :func:`decide`'s decision for each step 1 .. T-1 of ``frames``;
     a frame it rejects raises ValueError naming its step. A caller with a
     token function applies them with :func:`populate_cache` and :func:`step`.
+
+    ``frames`` may be any iterable. It is walked once, and only the two
+    frames of the current step are held, so a lazy sequence such as
+    :func:`frameio.load_frames` returns is never in memory whole.
     """
-    if len(frames) < 2:
-        raise ValueError("need at least 2 frames")
-    for t in range(1, len(frames)):
+    frames = iter(frames)
+    prev = next(frames, None)
+    t = 0
+    for t, curr in enumerate(frames, 1):
         try:
-            decision = decide(frames[t - 1], frames[t], cfg, step=t)
+            decision = decide(prev, curr, cfg, step=t)
         except ValueError as exc:
             raise ValueError(f"step {t}: {exc}") from None
         yield decision
+        prev = curr
+    if t == 0:
+        raise ValueError("need at least 2 frames")
 
 
 @dataclass

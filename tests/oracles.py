@@ -15,9 +15,15 @@ with every input check a full scan and the zero bins masked out of the
 logarithm; they share the package's weighted bin sum, so they must agree
 with it bit for bit. ``patch_energy_scanned`` likewise restates
 ``patch_energy`` with the flatness test run on every patch.
+``load_rawf32_eager`` restates the rawf32 loader that read the whole file
+at once, for the lazy sequence to match frame by frame, and
+``CountingFrames`` wraps frames in that sequence's interface to count how
+often each is read.
 """
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import scipy.fft
@@ -27,6 +33,7 @@ from freqcache.compare import _position_cosines
 from freqcache.edge_refresh import _dct_rows, cutoff_index
 from freqcache.errors import DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
+from freqcache.frameio import FrameSequence
 from freqcache.fusion import CacheDecision, _check_decision
 from freqcache.migration import (
     CROSS_POWER_EPS,
@@ -35,6 +42,34 @@ from freqcache.migration import (
     phase_correlation_spectra,
 )
 from freqcache.spectral import bin_dot
+
+
+def load_rawf32_eager(path):
+    """Every frame of a well-formed rawf32 file, read whole and converted
+    to float64 in one pass, as a list."""
+    data = Path(path).read_bytes()
+    assert data[:4] == b"FQC1"
+    height, width, count = struct.unpack("<III", data[4:16])
+    values = np.frombuffer(data, dtype="<f4", count=height * width * count,
+                           offset=16)
+    frames = values.reshape(count, height, width).astype(np.float64)
+    return [frames[t] for t in range(count)]
+
+
+class CountingFrames(FrameSequence):
+    """``frames`` read through :class:`FrameSequence`; ``reads[t]`` counts
+    the reads of frame t."""
+
+    def __init__(self, frames):
+        shape = (frames.shape if isinstance(frames, FrameSequence)
+                 else np.shape(frames[0]))
+        super().__init__(len(frames), shape)
+        self.frames = frames
+        self.reads = [0] * len(frames)
+
+    def _read(self, t):
+        self.reads[t] += 1
+        return self.frames[t]
 
 
 class _AnalysisError(ValueError):

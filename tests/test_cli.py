@@ -1,11 +1,17 @@
 import argparse
+import contextlib
+import gc
+import io
 import json
 import re
+import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from freqcache import CacheConfig
+from freqcache import CacheConfig, cli
 from freqcache.cli import (
     DEFAULTS,
     READS,
@@ -15,8 +21,18 @@ from freqcache.cli import (
     read_config_file,
     resolve_settings,
 )
-from freqcache.frameio import load_rawf32, read_netpbm, write_pgm
+from freqcache.frameio import (
+    RAWF32_HEADER,
+    load_frames,
+    load_rawf32,
+    read_netpbm,
+    save_rawf32,
+    write_pgm,
+)
+from freqcache.fusion import run_sequence
 from freqcache.records import read_decisions_jsonl
+
+from oracles import CountingFrames
 
 
 def run_cli(*argv):
@@ -196,6 +212,21 @@ class TestUsageErrors:
             f"freqcache: error: {message.format(cfg=cfg)}\n")
         assert not out.exists()
 
+    def test_non_finite_frame_prints_one_line(self, tmp_path, capsys):
+        raw = tmp_path / "scene.fqc"
+        run_cli("synth", "--height", 32, "--width", 32, "--length", 5,
+                "--out", raw)
+        with open(raw, "r+b") as fh:
+            fh.seek(RAWF32_HEADER + 4 * (3 * 32 * 32 + 100))
+            fh.write(struct.pack("<f", float("nan")))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("analyze", "--input", raw, "--out-dir", tmp_path / "out")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {raw}: frame 3 contains non-finite values\n")
+        assert not (tmp_path / "out").exists()
+
     def test_frame_shape_change_prints_one_line(self, tmp_path, capsys):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -270,6 +301,94 @@ class TestSettingsTable:
             manifest = json.loads(manifest_path.read_text())
             assert manifest["command"] == name
             assert list(manifest["settings"]) == list(READS[name])
+
+
+def shifted_frames(n, shape=(64, 64)):
+    base = np.random.default_rng(12).random(shape)
+    return [np.roll(base, (3 * t, 5 * t), axis=(0, 1)) for t in range(n)]
+
+
+class TestFrameReads:
+    """``analyze`` and ``compare --input`` read each frame once and hold only
+    the frames of the current step."""
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze",), ("compare", "--patch-size", 8),
+    ])
+    def test_each_frame_is_read_once(self, tmp_path, monkeypatch, argv):
+        raw = tmp_path / "frames.fqc"
+        save_rawf32(raw, shifted_frames(6))
+        opened = []
+
+        def counting(path, fmt="auto"):
+            opened.append(CountingFrames(load_frames(path, fmt)))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "load_frames", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(*argv, "--input", raw, "--out-dir",
+                           tmp_path / "out") == 0
+        assert [frames.reads for frames in opened] == [[1] * 6]
+
+    def test_analyze_peak_grows_by_its_decisions_not_its_frames(self, tmp_path):
+        # Decisions stay in memory until they are written, so 56 more steps
+        # may add what their decisions hold; the frames they passed must
+        # not add more than two frames between them.
+        paths = {}
+        for n in (8, 64):
+            paths[n] = tmp_path / f"frames{n}.fqc"
+            save_rawf32(paths[n], shifted_frames(n))
+        cfg = CacheConfig()
+
+        def traced(fn, path):
+            # Warmed up, so one-time allocations fall outside the trace, and
+            # with the collector paused, so the peak does not depend on when
+            # it runs.
+            fn(paths[8])
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                held = fn(path)
+                return tracemalloc.get_traced_memory(), held
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        def analyze(path):
+            with contextlib.redirect_stdout(io.StringIO()):
+                run_cli("analyze", "--input", path, "--out-dir",
+                        tmp_path / f"out-{path.stem}")
+
+        peak, kept = {}, {}
+        for n in (8, 64):
+            peak[n] = in_thread(traced, analyze, paths[n])[0][1]
+            kept[n] = in_thread(
+                traced, lambda path: run_sequence(load_frames(path), cfg),
+                paths[n])[0][0]
+        frame_bytes = 64 * 64 * 8
+        assert 0 < kept[64] - kept[8] < 56 * frame_bytes / 16
+        assert peak[64] - peak[8] < kept[64] - kept[8] + 2 * frame_bytes
+
+
+def in_thread(fn, *args):
+    """``fn(*args)`` on a new thread, which starts with no carried-over
+    spectrum and a scratch region of its own."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:  # re-raised on the calling thread
+            out["error"] = exc
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class TestEndToEnd:

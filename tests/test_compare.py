@@ -9,6 +9,8 @@ from freqcache import PatchGrid
 from freqcache.compare import compare_domains
 from freqcache.scenes import SceneSpec, generate_scene
 
+from oracles import CountingFrames
+
 
 def test_translate_scene_frequency_policy_wins():
     scene = generate_scene(
@@ -98,6 +100,17 @@ def test_each_frame_is_embedded_once(monkeypatch):
     monkeypatch.setattr(PatchGrid, "blocks", spy)
     compare_domains(scene.frames, CacheConfig(patch_size=8))
     assert len(cut) == 5
+
+
+def test_each_frame_is_read_once():
+    scene = generate_scene(
+        SceneSpec(kind="translate", height=32, width=32, length=6, seed=4,
+                  shift=(1, 2))
+    )
+    frames = CountingFrames(scene.frames)
+    report = compare_domains(frames, CacheConfig(patch_size=8))
+    assert frames.reads == [1] * 6
+    assert report == compare_domains(scene.frames, CacheConfig(patch_size=8))
 
 
 def test_each_frame_is_validated_once(monkeypatch):

@@ -1,8 +1,16 @@
+import re
+import struct
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from freqcache import FrameParseError
+from freqcache import FrameParseError, spectral
 from freqcache.frameio import (
+    RAWF32_HEADER,
+    RAWF32_MAGIC,
+    FrameSequence,
     export_masks,
     load_frames,
     load_rawf32,
@@ -10,9 +18,43 @@ from freqcache.frameio import (
     save_rawf32,
     write_pgm,
 )
-from freqcache.fusion import CacheConfig, run_sequence
+from freqcache.fusion import CacheConfig, decide, run_sequence
 from freqcache.records import decision_record
 from freqcache.scenes import SceneSpec, generate_scene
+
+from oracles import load_rawf32_eager
+
+F32 = np.finfo(np.float32)
+# Signed zeros, the subnormal range's ends, the normal range's ends and one.
+FLOAT32_EXTREMES = np.array(
+    [0.0, -0.0, F32.smallest_subnormal, -F32.smallest_subnormal,
+     F32.smallest_normal - F32.smallest_subnormal, F32.smallest_normal,
+     -F32.smallest_normal, F32.max, -F32.max, 1.0, -1.0], dtype=np.float32)
+
+
+def write_raw(path, stack):
+    """A rawf32 file holding ``stack`` (T, H, W) as float32, unchecked."""
+    stack = np.asarray(stack, dtype="<f4")
+    t, h, w = stack.shape
+    path.write_bytes(RAWF32_MAGIC + struct.pack("<III", h, w, t)
+                     + stack.tobytes())
+    return path
+
+
+def random_float32(seed, shape):
+    """Finite float32 values of random bits: every exponent but the one of
+    inf and NaN, subnormals included, then the extremes at the start."""
+    bits = np.random.default_rng(seed).integers(
+        0, 2 ** 32, size=shape, dtype=np.uint64).astype(np.uint32)
+    bits[(bits >> 23 & 0xFF) == 0xFF] ^= 1 << 23
+    values = bits.view(np.float32)
+    values.ravel()[:FLOAT32_EXTREMES.size] = FLOAT32_EXTREMES
+    return values
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 class TestNetpbm:
@@ -111,6 +153,117 @@ class TestRawf32:
         path.write_bytes(path.read_bytes() + b"!")
         with pytest.raises(FrameParseError):
             load_rawf32(path)
+
+
+class TestFrameSequence:
+    def test_frames_equal_the_eager_loader_bit_for_bit(self, tmp_path):
+        path = write_raw(tmp_path / "r.fqc", random_float32(6, (5, 8, 12)))
+        frames = load_frames(path)
+        eager = load_rawf32_eager(path)
+        assert isinstance(frames, FrameSequence)
+        assert (len(frames), frames.shape) == (5, (8, 12))
+        for t in range(5):
+            assert same_bits(frames[t], eager[t])
+        assert all(map(same_bits, frames, eager))
+        assert same_bits(frames[-1], eager[4])
+        with pytest.raises(IndexError):
+            frames[5]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_raises_when_it_is_read(self, tmp_path, bad):
+        stack = np.random.default_rng(7).random((4, 6, 6))
+        stack[2, 1, 3] = bad
+        path = write_raw(tmp_path / "n.fqc", stack)
+        frames = load_frames(path)
+        for t in (0, 1, 3):
+            frames[t]
+        with pytest.raises(FrameParseError, match=re.escape(
+                f"{path}: frame 2 contains non-finite values")):
+            frames[2]
+
+    def test_file_truncated_after_loading_raises(self, tmp_path):
+        path = tmp_path / "t.fqc"
+        save_rawf32(path, np.random.default_rng(8).random((3, 4, 4)))
+        data = path.read_bytes()
+        frames = load_rawf32(path)
+        path.write_bytes(data[:-5])
+        frames[1]
+        with pytest.raises(FrameParseError, match="truncated rawf32 payload, "
+                           f"expected {len(data)} bytes") as err:
+            frames[2]
+        assert err.value.offset == len(data) - 5
+        path.write_bytes(data[:RAWF32_HEADER])
+        with pytest.raises(FrameParseError) as err:
+            frames[0]
+        assert err.value.offset == RAWF32_HEADER
+        path.unlink()
+        with pytest.raises(FrameParseError, match=re.escape(
+                f"{path}: frame 0: No such file or directory")):
+            frames[0]
+
+    def test_frames_are_fresh_writeable_arrays(self, tmp_path):
+        path = write_raw(tmp_path / "w.fqc", random_float32(9, (3, 16, 8)))
+        frames = load_frames(path)
+        got = list(frames) + [frames[0]]
+        region = spectral._scratch.region
+        for i, frame in enumerate(got):
+            assert frame.flags.writeable
+            assert not np.shares_memory(frame, region)
+            assert not any(np.shares_memory(frame, other) for other in got[i + 1:])
+        got[0][...] = 0.0
+        assert same_bits(frames[0], load_rawf32_eager(path)[0])
+
+    def test_two_threads_read_one_sequence(self, tmp_path):
+        path = write_raw(tmp_path / "th.fqc",
+                         np.random.default_rng(10).random((8, 64, 96)))
+        frames = load_frames(path)
+        eager = load_rawf32_eager(path)
+        # Switching threads every microsecond puts one thread's read between
+        # another's read and its conversion, if they stage in one buffer.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start = threading.Barrier(2, timeout=60)
+        wrong = [[], []]
+
+        def reader(k):
+            # The two threads read in opposite orders; on its first pass one
+            # also runs ``decide``, which writes its own scratch region.
+            order = list(range(8)) if k == 0 else list(range(7, -1, -1))
+            try:
+                start.wait()
+                for r in range(200):
+                    for t in order:
+                        frame = frames[t]
+                        if k == 1 and t > 0 and r == 0:
+                            decide(frames[t - 1], frame,
+                                   CacheConfig(patch_size=8))
+                        if not same_bits(frame, eager[t]):
+                            wrong[k].append(t)
+            except Exception as exc:
+                start.abort()
+                wrong[k].append(exc)
+
+        threads = [threading.Thread(target=reader, args=(k,)) for k in (0, 1)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [[], []]
+
+    def test_bad_pgm_raises_when_it_is_read(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for name in ("a", "b", "c"):
+            write_pgm(tmp_path / f"{name}.pgm", rng.random((4, 6)))
+        (tmp_path / "b.pgm").write_bytes(b"P5\n6 4\n255\n" + bytes(5))
+        frames = load_frames(tmp_path)
+        assert (len(frames), frames.shape) == (3, (4, 6))
+        assert frames[2].shape == (4, 6)
+        with pytest.raises(FrameParseError, match="b.pgm: truncated pixel data"):
+            frames[1]
 
 
 class TestLoadFrames:

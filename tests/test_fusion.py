@@ -37,11 +37,11 @@ from freqcache import (
 from freqcache import budget, cli, fusion, migration, spectral
 from freqcache.bench import WARMUP, bench
 from freqcache.compare import compare_domains
-from freqcache.frameio import save_rawf32
+from freqcache.frameio import load_frames, save_rawf32
 from freqcache.migration import alignment_mask
 from freqcache.records import decision_record
 
-from oracles import assert_decision_equivalence, decide_reference
+from oracles import CountingFrames, assert_decision_equivalence, decide_reference
 
 CFG32 = CacheConfig(patch_size=8)
 
@@ -284,7 +284,7 @@ class TestSpectrumCarryOver:
         assert regions[0] is not None and regions[1] is not None
         assert not np.shares_memory(regions[0], regions[1])
 
-    def test_rfft2_calls(self, monkeypatch):
+    def test_rfft2_calls(self, monkeypatch, tmp_path):
         calls = []
         real = scipy.fft.rfft2
 
@@ -309,6 +309,13 @@ class TestSpectrumCarryOver:
         calls.clear()
         in_fresh_thread(bench, CacheConfig(patch_size=16), 32, 32, 4)
         assert len(calls) == 2 * (4 + WARMUP)
+        # a lazy input returns a fresh array per read; the carry-over
+        # compares bits, so each frame is still transformed once
+        raw = tmp_path / "frames.fqc"
+        save_rawf32(raw, frames)
+        calls.clear()
+        in_fresh_thread(lambda: list(fusion.stream(load_frames(raw), CFG32)))
+        assert len(calls) == len(frames)
 
     def test_carried_decide_sums_bins_three_times(self, monkeypatch):
         # The gate and the entropy read the carried powers, so a carried
@@ -641,6 +648,22 @@ class TestStream:
                                             False, False]
         assert all(d.k_final > 0 for d in got if not d.flushed)
         assert got == expected
+
+    def test_walks_each_frame_once(self):
+        frames = CountingFrames([np.roll(textured(35), (t, 2 * t), axis=(0, 1))
+                                 for t in range(5)])
+        assert list(fusion.stream(frames, CFG32)) == list(
+            fusion.stream(frames.frames, CFG32))
+        assert frames.reads == [1] * 5
+
+    def test_takes_any_iterable(self):
+        frames = [np.roll(textured(36), (0, 3 * t), axis=(0, 1))
+                  for t in range(4)]
+        assert list(fusion.stream(iter(frames), CFG32)) == list(
+            fusion.stream(frames, CFG32))
+        for short in ([], [frames[0]]):
+            with pytest.raises(ValueError, match="^need at least 2 frames$"):
+                list(fusion.stream(iter(short), CFG32))
 
     def test_rejected_frame_names_its_step(self):
         frames = [textured(32), textured(33), np.full((32, 32), np.nan)]

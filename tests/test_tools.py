@@ -1,9 +1,11 @@
 """The revision-comparing tools refuse bad revisions with one line.
 
 Every run here names at least one revision that is not a commit, so
-neither tool gets as far as exporting a tree or starting perfbench.
+neither tool gets as far as exporting a tree or starting perfbench. The
+last tests hand ``ab_bench`` result lines directly.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -72,3 +74,44 @@ def test_ab_bench_work_directory_that_exists(tmp_path):
     proc = run_tool("ab_bench", ROOT, *tool_args("ab_bench", work))
     assert_one_line(proc, "ab_bench", f"--work {work} already exists")
     assert list(work.iterdir()) == []
+
+
+def result_line(**values):
+    metrics = {key: {"value": value, "unit": "MB"} for key, value in values.items()}
+    return json.dumps({"correct": 1, "failed": 0, "metrics": metrics})
+
+
+@pytest.fixture
+def ab_bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import ab_bench
+
+    return ab_bench
+
+
+@pytest.mark.parametrize("line,message", [
+    (result_line(**{"shots-224-p16/peak_rss_mb": None}),
+     "shots-224-p16 peak_rss_mb is null, not a finite number"),
+    (result_line(**{"shots-224-p16/peak_rss_mb": 86.9,
+                    "translate-448-p16/frameio.bytes_read": float("nan")}),
+     "translate-448-p16 frameio.bytes_read is NaN, not a finite number"),
+    (result_line(**{"shots-224-p16/setup_s": float("-inf")}),
+     "shots-224-p16 setup_s is -Infinity, not a finite number"),
+    (result_line(**{"shots-224-p16/setup_s": True}),
+     "shots-224-p16 setup_s is true, not a finite number"),
+    ('{"metrics": {}, "note": NaN}',
+     "the result line holds NaN, which is not strict JSON"),
+    ("shutting down", "the last stdout line is not a result: 'shutting down'"),
+])
+def test_ab_bench_refuses_a_bad_result_line(ab_bench, capsys, line, message):
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.checked_result(line, "perfbench in T seed 1 trace 1")
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ab_bench: perfbench in T seed 1 trace 1: {message}\n")
+
+
+def test_ab_bench_takes_a_good_result_line(ab_bench):
+    line = result_line(**{"shots-224-p16/peak_rss_mb": 86.9,
+                          "shots-224-p16/fusion.step.tokens_reused": 88})
+    assert ab_bench.checked_result(line, "here") == json.loads(line)

@@ -14,7 +14,9 @@ the decisions SHA-256 of each workload and run, the machine facts, per
 workload and end-to-end metric of ``BENCHMARK.json`` the medians, the
 parent's quartiles and the pairs each side won, and under ``per_layer``,
 per workload and per-layer metric, the medians of the traced runs and
-the pairs each side won.
+the pairs each side won. A result line, traced or not, that is not strict
+JSON or holds a metric that is not a finite number stops the tool with
+status 2, naming the workload and metric where it can.
 
 Each side is recorded by its commit and tree hashes. Work that is not
 committed can be measured as the revision that ``git stash create`` prints
@@ -27,6 +29,7 @@ standard library only.
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -59,13 +62,41 @@ def perfbench(tree, seed, trace=0):
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"ab_bench: perfbench in {tree} seed {seed} exited "
                          f"with {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    result = checked_result(lines[-1],
+                            f"perfbench in {tree} seed {seed} trace {trace}")
     names = sorted({key.split("/")[0] for key in result["metrics"]})
     saved = {name: json.loads((tree / ".perfbench_out" / "results" /
                                f"{name}-seed{seed}.json").read_text())
              for name in names}
     return result, {name: s["decisions_sha256"] for name, s in saved.items()}, \
         saved[names[0]]["machine"]
+
+
+def checked_result(line, where):
+    """perfbench's result ``line`` parsed, or status 2 naming ``where``
+    unless it is strict JSON (no NaN or Infinity) whose every metric value
+    is a finite number."""
+    constants = []
+
+    def constant(name):
+        constants.append(name)
+        return float(name)
+
+    try:
+        result = json.loads(line, parse_constant=constant)
+        values = {key: entry["value"] for key, entry in result["metrics"].items()}
+    except (ValueError, TypeError, KeyError, AttributeError):
+        fail(TOOL, f"{where}: the last stdout line is not a result: {line[:80]!r}")
+    for key, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            workload, _, metric = key.partition("/")
+            fail(TOOL, f"{where}: {workload} {metric} is {json.dumps(value)}, "
+                       "not a finite number")
+    if constants:
+        fail(TOOL, f"{where}: the result line holds {constants[0]}, which is "
+                   "not strict JSON")
+    return result
 
 
 def quartiles(values):
