@@ -77,7 +77,7 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     false_reuse = dict.fromkeys(names, 0)
 
     def tokens(frame):
-        # ``stream`` yields a step after ``decide`` validated its two frames;
+        # ``stream`` yields a step after ``decide`` accepted its two frames;
         # converting again gives the array it checked (the same one for a
         # float64 array).
         grid = PatchGrid._of_valid(np.asarray(frame, dtype=np.float64),

@@ -83,7 +83,12 @@ def refresh_mask(energies, sensitivity):
     all-equal energy map has zero spread and the strict inequality flags
     nothing.
     """
-    mu = float(energies.mean())
-    sigma = float(energies.std())
+    # ``energies.mean()`` and ``energies.std()`` run these operations in
+    # this order, so the moments keep their bits without NumPy's wrappers.
+    n = energies.size
+    mu = float(energies.sum()) / n
+    deviation = energies - mu
+    np.square(deviation, out=deviation)
+    sigma = math.sqrt(float(deviation.sum()) / n)
     threshold = mu + float(sensitivity) * sigma
     return energies > threshold

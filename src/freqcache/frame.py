@@ -8,13 +8,20 @@ import numpy as np
 TOKEN_CHUNK_PIXELS = 64 * 16 * 16
 
 
-def validate_frame(data):
-    """Coerce input to a 2D float64 grid, rejecting empty or non-finite data."""
+def frame_array(data):
+    """Coerce input to a 2D float64 grid, rejecting empty data; unlike
+    :func:`validate_frame`, it does not scan the values."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"frame must be 2D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"frame dimensions must be >= 1, got {arr.shape}")
+    return arr
+
+
+def validate_frame(data):
+    """Coerce input to a 2D float64 grid, rejecting empty or non-finite data."""
+    arr = frame_array(data)
     if not np.all(np.isfinite(arr)):
         raise ValueError("frame contains non-finite values")
     return arr

@@ -13,7 +13,7 @@ import scipy.fft
 from .budget import BudgetConfig, EntropyReading, reuse_budget, spectral_entropy
 from .edge_refresh import patch_energy, refresh_mask
 from .errors import InvariantError
-from .frame import PatchGrid, validate_frame
+from .frame import PatchGrid, frame_array, validate_frame
 from .migration import (
     Displacement,
     alignment_mask,
@@ -118,20 +118,26 @@ def default_token_fn(patches):
     a = np.asarray(patches, dtype=np.float64)
     k = a.shape[0]
     flat = a.reshape(k, -1)
-    clipped = np.clip(flat, 0.0, 1.0)
-    # Scale and truncate, with 1.0 moved into the last bin. This needs none
-    # of np.histogram's corrections against the edges: 16 is a power of two,
-    # so x * 16 is exact for every x in [0, 1], as is every edge k / 16
+    # Scale, clip to [0, 15] and truncate, which also moves 1.0 into the
+    # last bin. This needs none of np.histogram's corrections against the
+    # edges: 16 is a power of two, so x * 16 is exact for every x (short of
+    # overflow, which the clip absorbs), as is every edge k / 16
     # (_TOKEN_EDGES * 16 == arange(17)), and x >= k / 16 iff x * 16 >= k.
-    idx = (clipped * _TOKEN_BINS).astype(np.intp)
-    np.minimum(idx, _TOKEN_BINS - 1, out=idx)
+    scaled = flat * _TOKEN_BINS
+    np.clip(scaled, 0.0, _TOKEN_BINS - 1, out=scaled)
+    idx = scaled.astype(np.intp)
     idx += _TOKEN_BINS * np.arange(k)[:, None]
     out = np.empty((k, _TOKEN_BINS + 2))
     out[:, :_TOKEN_BINS] = np.bincount(
         idx.ravel(), minlength=k * _TOKEN_BINS
     ).reshape(k, _TOKEN_BINS)
-    out[:, _TOKEN_BINS] = flat.mean(axis=1)
-    out[:, _TOKEN_BINS + 1] = flat.var(axis=1)
+    # flat.mean(axis=1) and flat.var(axis=1) in the operations they run, in
+    # their order, with the mean summed once for both.
+    pixels = flat.shape[1]
+    mean = np.divide(flat.sum(axis=1), pixels, out=out[:, _TOKEN_BINS])
+    deviation = flat - mean[:, None]
+    np.square(deviation, out=deviation)
+    np.divide(deviation.sum(axis=1), pixels, out=out[:, _TOKEN_BINS + 1])
     return out
 
 
@@ -168,14 +174,32 @@ class _Analysis(NamedTuple):
 _SINGLE_POWER_RANGE = (2.0 ** -60, 2.0 ** 120)
 
 
+# A constant frame's spectrum holds only its DC bin and round-off, some
+# 1e-25 of its power; a frame whose power exceeds its squared DC amplitude
+# by this factor is not constant. A NaN power (an overflowing transform can
+# give one) exceeds nothing, so such a frame is scanned.
+_CONSTANT_POWER_SHARE = 1.0 + 2.0 ** -20
+
+
 def _half_spectrum(frame, single=False):
-    """The frame's analysis. With ``single`` its spectrum is rounded to
-    ``complex64`` (see :data:`_SINGLE_POWER_RANGE`) after the amplitude and
-    the power are taken from the ``complex128`` one."""
+    """The analysis of a frame that :func:`frame_array` returned; ValueError
+    if it holds a non-finite value. With ``single`` its spectrum is rounded
+    to ``complex64`` (see :data:`_SINGLE_POWER_RANGE`) after the amplitude
+    and the power are taken from the ``complex128`` one.
+
+    A NaN or infinite pixel makes the DC bin, and so the power, non-finite:
+    only then is the frame scanned, by :func:`validate_frame`, which raises
+    unless the transform merely overflowed. Only a frame whose power is not
+    clearly above its squared DC amplitude is scanned for constancy."""
     spectrum = scipy.fft.rfft2(frame)
     amplitude = np.abs(spectrum)
     weights = hermitian_weights(frame.shape[1])
     power = bin_dot(amplitude, amplitude, weights)
+    if not math.isfinite(power):
+        validate_frame(frame)
+    dc = float(amplitude[0, 0])
+    constant = (not power > dc * dc * _CONSTANT_POWER_SHARE
+                and bool(np.ptp(frame) == 0.0))
     if single:
         low, high = _SINGLE_POWER_RANGE
         if power > 0.0 and not low <= power <= high:
@@ -183,7 +207,7 @@ def _half_spectrum(frame, single=False):
         spectrum = spectrum.astype(np.complex64)
     spectrum.flags.writeable = False
     amplitude.flags.writeable = False
-    return _Analysis(spectrum, amplitude, power, bool(np.ptp(frame) == 0.0))
+    return _Analysis(spectrum, amplitude, power, constant)
 
 
 class _LastFrame(threading.local):
@@ -215,20 +239,23 @@ def decide(prev, curr, cfg, *, step=0):
     read ``rfft2`` half spectra. Each frame is analysed once per stream:
     ``curr``'s analysis is kept, with a copy of its bits, for this thread's
     next call, and a ``prev`` holding exactly those bits reuses it without
-    being validated or scanned again (a frame buffer rewritten in place
-    misses). Degenerate inputs (a frame whose spectrum has no power, or a
+    being analysed again (a frame buffer rewritten in place misses). A
+    frame's values are scanned only when its spectrum shows they may be
+    non-finite or constant (see :func:`_half_spectrum`). Degenerate inputs (a frame whose spectrum has no power, or a
     constant frame) force a flush with a diagnostic instead of raising, so a
     black frame cannot abort a sequence; the analyses they make undefined
     keep their defaults.
     """
+    t0 = time.perf_counter_ns()
     a_prev = _carried(prev)
     if a_prev is None:
-        prev = validate_frame(prev)
-    curr = validate_frame(curr)
+        prev = frame_array(prev)
+    curr = frame_array(curr)
     if prev.shape != curr.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
     grid = PatchGrid._of_valid(curr, cfg.patch_size)
     n = grid.n_patches
+    timings = {"intake": (time.perf_counter_ns() - t0) // 1000}
 
     t0 = time.perf_counter_ns()
     if a_prev is None:
@@ -239,7 +266,7 @@ def decide(prev, curr, cfg, *, step=0):
     np.copyto(_last.bits, curr)
     _last.analysis = a_curr
     weights = hermitian_weights(curr.shape[1])
-    timings = {"transform": (time.perf_counter_ns() - t0) // 1000}
+    timings["transform"] = (time.perf_counter_ns() - t0) // 1000
 
     if a_prev.power == 0.0 or a_curr.power == 0.0:
         diagnostic = "degenerate spectrum"
@@ -276,21 +303,21 @@ def decide(prev, curr, cfg, *, step=0):
     energies = patch_energy(grid)
     fresh = refresh_mask(energies, cfg.edge_lambda)
     timings["edge"] = (time.perf_counter_ns() - t0) // 1000
-    refresh_set = tuple(np.flatnonzero(fresh.ravel()).tolist())
 
     # Synchronization point: all three analyses have completed.
-    t_sel = time.perf_counter_ns()
+    t0 = time.perf_counter_ns()
     flushed = diagnostic is not None or sim < cfg.tau_mig
-    k_candidate, k_final, reuse = 0, 0, ()
+    k_candidate, k_final, reuse_set = 0, 0, ()
     if not flushed:
-        candidate_idx = np.flatnonzero((align & ~fresh).ravel())
-        k_candidate = int(candidate_idx.size)
+        candidates = np.flatnonzero(align & ~fresh)
+        k_candidate = candidates.size
         k_final = min(k_reuse, k_candidate)
-        reuse = topk_ascending(candidate_idx, energies, k_final)
+        reuse_set = topk_ascending(candidates, energies, k_final)
+    reuse = np.fromiter(reuse_set, np.intp, len(reuse_set))
     keep = np.ones(n, dtype=bool)
-    keep[list(reuse)] = False
-    recompute = tuple(np.flatnonzero(keep).tolist())
-    timings["select"] = (time.perf_counter_ns() - t_sel) // 1000
+    keep[reuse] = False
+    recompute = np.flatnonzero(keep)
+    timings["select"] = (time.perf_counter_ns() - t0) // 1000
 
     decision = CacheDecision(
         step=int(step),
@@ -302,28 +329,35 @@ def decide(prev, curr, cfg, *, step=0):
         k_reuse=int(k_reuse),
         k_candidate=int(k_candidate),
         k_final=int(k_final),
-        reuse_set=reuse,
-        recompute_set=recompute,
+        reuse_set=reuse_set,
+        recompute_set=tuple(recompute.tolist()),
         rows=grid.rows,
         cols=grid.cols,
-        refresh_set=refresh_set,
+        refresh_set=tuple(np.flatnonzero(fresh).tolist()),
         diagnostic=diagnostic,
         timings_us=timings,
     )
     t0 = time.perf_counter_ns()
-    _check_decision(decision, align, fresh, n)
+    _check_decision(decision, align, fresh, n, reuse, recompute)
     timings["check"] = (time.perf_counter_ns() - t0) // 1000
     return decision
 
 
-def _check_decision(decision, align, fresh, n):
+def _check_decision(decision, align, fresh, n, reuse=None, recompute=None):
     """In-run invariants: partition, budget, flush, and safety.
 
-    Explicit raises rather than ``assert``, so ``python -O`` keeps them.
+    ``reuse`` and ``recompute`` are the decision's sets as ``intp`` arrays,
+    made from its tuples when not given. Explicit raises rather than
+    ``assert``, so ``python -O`` keeps them.
     """
-    reuse = set(decision.reuse_set)
-    recompute = set(decision.recompute_set)
-    if reuse & recompute or len(reuse) + len(recompute) != n:
+    if reuse is None:
+        reuse = np.array(decision.reuse_set, dtype=np.intp)
+        recompute = np.array(decision.recompute_set, dtype=np.intp)
+    both = np.concatenate((reuse, recompute))
+    # n indices, none negative, each of 0 .. n-1 counted once: the counts sum
+    # to n over at least n slots, so their least is 1 only then.
+    if (both.size != n or both.min() < 0
+            or np.bincount(both, minlength=n).min() != 1):
         raise InvariantError("reuse and recompute sets do not partition the patches")
     if not decision.k_final == len(decision.reuse_set) == min(
         decision.k_reuse, decision.k_candidate
@@ -332,8 +366,7 @@ def _check_decision(decision, align, fresh, n):
     if decision.flushed and decision.k_final != 0:
         raise InvariantError("flushed step must reuse nothing")
     if align is not None:
-        idx = np.asarray(decision.reuse_set, dtype=np.int64)
-        unsafe = idx[~align.ravel()[idx] | fresh.ravel()[idx]]
+        unsafe = reuse[~align.ravel()[reuse] | fresh.ravel()[reuse]]
         if unsafe.size:
             raise InvariantError(
                 f"reused patch {unsafe[0]} violates alignment/refresh safety"

@@ -3,6 +3,7 @@ spectrum stand for the full frequency grid of a real frame, and the
 per-thread scratch region that ``decide``'s stages carve their frame-sized
 temporaries from."""
 
+import functools
 import math
 import threading
 
@@ -45,9 +46,11 @@ def scratch(shape, *dtypes):
             for start, dtype in zip(starts, dtypes)]
 
 
+@functools.cache
 def hermitian_weights(width):
     """Full-grid bins each ``rfft2`` column of a ``width``-wide real frame
-    stands for, as a float array of ``width // 2 + 1`` entries.
+    stands for, as a read-only float array of ``width // 2 + 1`` entries,
+    one per width.
 
     Column 0 (DC) and, for even widths, column ``width // 2`` (Nyquist) are
     their own mirror images and count once. Every other column v also
@@ -58,6 +61,7 @@ def hermitian_weights(width):
     weights[0] = 1.0
     if width % 2 == 0:
         weights[-1] = 1.0
+    weights.flags.writeable = False
     return weights
 
 

@@ -15,10 +15,15 @@ with every input check a full scan and the zero bins masked out of the
 logarithm; they share the package's weighted bin sum, so they must agree
 with it bit for bit. ``patch_energy_scanned`` likewise restates
 ``patch_energy`` with the flatness test run on every patch.
+``default_token_fn_reference`` restates ``default_token_fn`` with its
+clip, scale, truncate and ``minimum`` passes and NumPy's ``mean`` and
+``var``, and ``decide_validating_first`` runs ``decide`` after scanning both
+frames for finiteness up front, as it once did itself.
 ``load_rawf32_eager`` restates the rawf32 loader that read the whole file
 at once, for the lazy sequence to match frame by frame, and
 ``CountingFrames`` wraps frames in that sequence's interface to count how
-often each is read.
+often each is read. ``count_frame_scans`` counts the whole-frame
+``np.isfinite`` and ``np.ptp`` scans a run makes.
 """
 
 import math
@@ -34,7 +39,7 @@ from freqcache.edge_refresh import _dct_rows, cutoff_index
 from freqcache.errors import DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
 from freqcache.frameio import FrameSequence
-from freqcache.fusion import CacheDecision, _check_decision
+from freqcache.fusion import CacheDecision, _check_decision, decide
 from freqcache.migration import (
     CROSS_POWER_EPS,
     Displacement,
@@ -70,6 +75,22 @@ class CountingFrames(FrameSequence):
     def _read(self, t):
         self.reads[t] += 1
         return self.frames[t]
+
+
+def count_frame_scans(monkeypatch, shape):
+    """Counts, by name, of the ``np.isfinite`` and ``np.ptp`` calls made
+    from now on over a whole array of ``shape``."""
+    scans = {}
+    for name in ("isfinite", "ptp"):
+        real = getattr(np, name)
+
+        def spy(a, *args, _name=name, _real=real, **kwargs):
+            if np.shape(a) == shape:
+                scans[_name] = scans.get(_name, 0) + 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return scans
 
 
 class _AnalysisError(ValueError):
@@ -185,6 +206,29 @@ def histogram_token(patch):
     p = np.asarray(patch, dtype=np.float64)
     hist, _ = np.histogram(np.clip(p, 0.0, 1.0), bins=16, range=(0.0, 1.0))
     return np.concatenate([hist.astype(np.float64), [p.mean(), p.var()]])
+
+
+def default_token_fn_reference(patches):
+    """``default_token_fn`` as it bins with a clip to [0, 1], a scale by 16,
+    a truncation and a ``minimum`` against the last bin, then takes
+    NumPy's per-patch ``mean`` and ``var``."""
+    a = np.asarray(patches, dtype=np.float64)
+    k = a.shape[0]
+    flat = a.reshape(k, -1)
+    idx = (np.clip(flat, 0.0, 1.0) * 16).astype(np.intp)
+    np.minimum(idx, 15, out=idx)
+    out = np.empty((k, 18))
+    for i in range(k):
+        out[i, :16] = np.bincount(idx[i], minlength=16)
+    out[:, 16] = flat.mean(axis=1)
+    out[:, 17] = flat.var(axis=1)
+    return out
+
+
+def decide_validating_first(prev, curr, cfg, *, step=0):
+    """``decide`` on two frames that :func:`validate_frame` has scanned
+    first, so a non-finite value raises before any transform runs."""
+    return decide(validate_frame(prev), validate_frame(curr), cfg, step=step)
 
 
 def phase_correlation_full_spectrum(spec_prev, spec_curr, patch_size=1):

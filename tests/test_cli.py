@@ -453,8 +453,9 @@ class TestEndToEnd:
                 "--patch-size", 8, "--timings")
         decisions = read_decisions_jsonl(out / "decisions.jsonl")
         assert "timings_us" in decisions[0]
-        assert set(decisions[0]["timings_us"]) >= {
-            "transform", "migration", "edge", "budget", "select", "check"}
+        assert set(decisions[0]["timings_us"]) == {
+            "intake", "transform", "migration", "edge", "budget", "select",
+            "check"}
 
     def test_edge_scene_writes_labels_sidecar(self, tmp_path):
         raw = tmp_path / "edges.fqc"

@@ -9,7 +9,7 @@ from freqcache import PatchGrid
 from freqcache.compare import compare_domains
 from freqcache.scenes import SceneSpec, generate_scene
 
-from oracles import CountingFrames
+from oracles import CountingFrames, count_frame_scans
 
 
 def test_translate_scene_frequency_policy_wins():
@@ -113,27 +113,16 @@ def test_each_frame_is_read_once():
     assert report == compare_domains(scene.frames, CacheConfig(patch_size=8))
 
 
-def test_each_frame_is_validated_once(monkeypatch):
-    import freqcache.frame
-    from freqcache import fusion
-
-    calls = []
-    real = freqcache.frame.validate_frame
-
-    def spy(data):
-        calls.append(1)
-        return real(data)
-
-    for module in (fusion, freqcache.frame):
-        monkeypatch.setattr(module, "validate_frame", spy)
+def test_finite_frames_are_not_scanned(monkeypatch):
+    # decide reads finiteness and constancy from the spectra, and compare
+    # runs no step, so no full-frame isfinite or ptp scan is left.
     scene = generate_scene(
         SceneSpec(kind="translate", height=32, width=32, length=8, seed=4,
                   shift=(1, 2))
     )
-    # a fresh frame, so decide cannot carry frame 0 over from earlier tests
-    frames = [frame + 1.0 for frame in scene.frames]
-    compare_domains(frames, CacheConfig(patch_size=8))
-    assert len(calls) == 8
+    scans = count_frame_scans(monkeypatch, (32, 32))
+    compare_domains(scene.frames, CacheConfig(patch_size=8))
+    assert scans == {}
 
 
 @pytest.mark.parametrize("first,message", [

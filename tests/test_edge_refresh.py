@@ -214,6 +214,23 @@ class TestRefreshMask:
                 assert np.array_equal(refresh_mask(energies, lam),
                                       energies > mean + lam * std)
 
+    def test_equals_numpy_moments_at_every_threshold_an_energy_sets(self):
+        # The sensitivity that puts NumPy's mean + sensitivity * std on each
+        # energy: a moment one ulp off would flip some of these comparisons.
+        rng = np.random.default_rng(6)
+        for trial in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+            energies = rng.exponential(size=shape) * 10.0 ** rng.integers(-30, 30)
+            energies[rng.random(shape) < 0.2] = 0.0
+            mu, sigma = float(energies.mean()), float(energies.std())
+            if sigma == 0.0:
+                continue
+            for lam in (*((energies.ravel()[:40] - mu) / sigma), 0.0, 0.25):
+                if not math.isfinite(lam):
+                    continue
+                assert np.array_equal(refresh_mask(energies, lam),
+                                      energies > mu + float(lam) * sigma), trial
+
     def test_huge_sensitivity_empties_mask(self):
         energies = np.random.default_rng(3).random((4, 4))
         assert not refresh_mask(energies, 1e18).any()

@@ -9,7 +9,7 @@ from freqcache import PatchGrid, default_token_fn
 from freqcache.frame import TOKEN_CHUNK_PIXELS
 from freqcache.fusion import _TOKEN_BINS, _TOKEN_EDGES
 
-from oracles import histogram_token
+from oracles import default_token_fn_reference, histogram_token
 
 EDGES = np.linspace(0.0, 1.0, 17)
 # Exact bin edges and -0.0, their floating-point neighbours, values outside
@@ -52,6 +52,27 @@ class TestDefaultTokenFn:
         got = grid.tokens(default_token_fn)
         expected = view_tokens(grid, histogram_token, range(grid.n_patches))
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 16])
+    def test_equals_the_clip_scale_minimum_reference_bit_for_bit(self, p):
+        # Edges and their neighbours, -0.0, subnormals, values far outside
+        # [0, 1] (1e300 scales past float64's range) and plain values.
+        specials = np.array(
+            [float(e) for e in EDGES]
+            + [float(np.nextafter(e, side))
+               for e in EDGES for side in (-np.inf, np.inf)]
+            + [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7e308, -1.7e308,
+               2.0, -1.0, 16.0, 15.0 / 16.0])
+        rng = np.random.default_rng(p)
+        for trial in range(200):
+            stack = rng.random((int(rng.integers(1, 40)), p, p)) * 1.5 - 0.25
+            mask = rng.random(stack.shape) < rng.choice([0.0, 0.1, 0.5, 1.0])
+            stack[mask] = rng.choice(specials, size=int(mask.sum()))
+            # the variance of a stack holding +-1e300 overflows in both
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = default_token_fn(stack)
+                expected = default_token_fn_reference(stack)
+            assert got.tobytes() == expected.tobytes(), trial
 
     def test_scaled_bin_edges_are_exact(self):
         # default_token_fn bins by truncating x * 16 with no correction

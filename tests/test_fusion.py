@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,13 @@ from freqcache.frameio import load_frames, save_rawf32
 from freqcache.migration import alignment_mask
 from freqcache.records import decision_record
 
-from oracles import CountingFrames, assert_decision_equivalence, decide_reference
+from oracles import (
+    CountingFrames,
+    assert_decision_equivalence,
+    count_frame_scans,
+    decide_reference,
+    decide_validating_first,
+)
 
 CFG32 = CacheConfig(patch_size=8)
 
@@ -342,6 +349,94 @@ class TestSpectrumCarryOver:
         assert in_fresh_thread(carried_sums) == 3
 
 
+def outcomes(fn, pairs):
+    """Run ``fn(prev, curr, CFG32)`` on each pair in turn, on this thread:
+    per call, its decision or its exception's type and message, and the
+    warnings it gave."""
+    out = []
+    for prev, curr in pairs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = fn(prev, curr, CFG32)
+            except Exception as exc:
+                result = (type(exc).__name__, str(exc))
+        out.append((result, [(w.category.__name__, str(w.message))
+                             for w in caught]))
+    return out
+
+
+def with_pixel(frame, value, at=(3, 5)):
+    out = frame.copy()
+    out[at] = value
+    return out
+
+
+class TestChecksFromSpectrum:
+    """decide reads finiteness and constancy from each frame's spectrum and
+    scans the frame only when the spectrum cannot tell."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["curr", "uncarried prev",
+                                       "curr after a carried step"])
+    def test_non_finite_frame_raises_and_is_never_carried(self, value, where):
+        frames = shifted_stream(60, (32, 32), n=4)
+        bad = with_pixel(frames[2], value)
+        pair = (bad, frames[1]) if where == "uncarried prev" else (frames[1], bad)
+        pairs = [pair, (bad, frames[3]), (frames[2], frames[3])]
+        if where == "curr after a carried step":
+            pairs.insert(0, (frames[0], frames[1]))
+        got = in_fresh_thread(outcomes, decide, pairs)
+        if where == "curr after a carried step":
+            assert not got.pop(0)[0].flushed
+        rejected = (("ValueError", "frame contains non-finite values"), [])
+        # the bad frame was not carried: as the next prev it is checked again
+        assert got[:2] == [rejected, rejected]
+        # and the next good pair is analysed as in a fresh thread
+        assert got[2] == in_fresh_thread(outcomes, decide, pairs[-1:])[0]
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_frame_whose_power_overflows_acts_as_if_validated_first(self, scale):
+        # Finite frames whose transform or power overflows pass the scan
+        # and go on as they did when decide scanned every frame first.
+        a, b, c = shifted_stream(61, (32, 32), n=3)
+        for pairs in ([(a * scale, b * scale), (b * scale, c * scale)],
+                      [(a, b * scale), (b * scale, c)],
+                      [(with_pixel(a, 1.7e308), b)]):
+            got = in_fresh_thread(outcomes, decide, pairs)
+            assert got == in_fresh_thread(outcomes, decide_validating_first,
+                                          pairs)
+            assert all(result != ("ValueError",
+                                  "frame contains non-finite values")
+                       for result, _ in got)
+
+    def test_constant_flag_equals_ptp(self):
+        rng = np.random.default_rng(62)
+        shape = (16, 24)
+        signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        frames = [signed_zeros, with_pixel(signed_zeros, 5e-324)]
+        for c in (0.37, -2.5, 5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e-170, 1.2e-38, 3e38, 1e300, 1.7e308, -1.7e308):
+            flat = np.full(shape, c)
+            frames += [flat, with_pixel(flat, np.nextafter(c, np.inf), (5, 7)),
+                       with_pixel(flat, np.nextafter(c, -np.inf), (0, 0))]
+        # a large DC and a tiny texture: the power is within 2^-20 of the
+        # squared DC, so the frame is scanned and found not constant
+        frames.append(1e6 + 1e-9 * rng.random(shape))
+        frames.append(1e300 + 1e290 * rng.random(shape))
+        frames += [rng.random(shape) * 10.0 ** k for k in (-300, -3, 0, 3, 300)]
+        for i, frame in enumerate(frames):
+            constant = bool(np.ptp(frame) == 0.0)
+            assert fusion._half_spectrum(frame).constant == constant, i
+            assert fusion._half_spectrum(frame.T.copy()).constant == constant, i
+
+    def test_textured_frames_skip_the_constancy_scan(self, monkeypatch):
+        frames = shifted_stream(63, (32, 32), n=3)
+        scans = count_frame_scans(monkeypatch, (32, 32))
+        in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
+        assert scans == {}
+
+
 def shifted_stream(seed, shape, n=3, shift=(5, -11)):
     frames = [textured(seed, shape)]
     for _ in range(n - 1):
@@ -446,6 +541,16 @@ class TestDecideReference:
                                CacheConfig(patch_size=4))
         assert_decision_equivalence(fast, ref)
 
+    def test_runs_the_invariant_check(self, monkeypatch):
+        import oracles
+
+        checked = []
+        monkeypatch.setattr(oracles, "_check_decision",
+                            lambda *args: checked.append(args))
+        decide_reference(textured(18, (16, 16)), textured(19, (16, 16)),
+                         CacheConfig(patch_size=4))
+        assert len(checked) == 1
+
     def test_tied_energies_share_order(self):
         # four identical patches produce exactly tied energies
         tile = np.random.default_rng(17).random((8, 8))
@@ -463,6 +568,11 @@ BROKEN = {
         "do not partition"),
     "missing index": (lambda d: dataclasses.replace(
         d, recompute_set=d.recompute_set[1:]), "do not partition"),
+    "index past the grid": (lambda d: dataclasses.replace(
+        d, recompute_set=d.recompute_set[:-1] + (d.rows * d.cols,)),
+        "do not partition"),
+    "negative index": (lambda d: dataclasses.replace(
+        d, recompute_set=(-1,) + d.recompute_set[1:]), "do not partition"),
     "k_final mismatch": (lambda d: dataclasses.replace(
         d, k_final=d.k_final - 1), "budget rule"),
     "flushed step reuses": (lambda d: dataclasses.replace(
@@ -486,24 +596,31 @@ class TestCheckDecision:
         return d
 
     @staticmethod
-    def check(d):
+    def check(d, arrays):
         """``_check_decision`` with the alignment and refresh masks that the
-        decision's own displacement and ``refresh_set`` give."""
+        decision's own displacement and ``refresh_set`` give; with
+        ``arrays``, its sets are also passed as index arrays, as ``decide``
+        passes them."""
         n = d.rows * d.cols
         align = alignment_mask(d.displacement,
                                PatchGrid(np.zeros((d.rows * 8, d.cols * 8)), 8))
         fresh = np.zeros(n, dtype=bool)
         fresh[list(d.refresh_set)] = True
-        fusion._check_decision(d, align, fresh.reshape(d.rows, d.cols), n)
+        sets = ([np.array(d.reuse_set, dtype=np.intp),
+                 np.array(d.recompute_set, dtype=np.intp)] if arrays else [])
+        fusion._check_decision(d, align, fresh.reshape(d.rows, d.cols), n,
+                               *sets)
 
     def test_valid_decision_passes(self):
-        self.check(self.valid())
+        for arrays in (False, True):
+            self.check(self.valid(), arrays)
 
     @pytest.mark.parametrize("name", BROKEN)
     def test_broken_decision_raises(self, name):
         breaks, message = BROKEN[name]
-        with pytest.raises(InvariantError, match=message):
-            self.check(breaks(self.valid()))
+        for arrays in (False, True):
+            with pytest.raises(InvariantError, match=message):
+                self.check(breaks(self.valid()), arrays)
 
     def test_broken_decisions_raise_under_python_O(self):
         paths = [str(Path(freqcache.__file__).parents[1]), str(Path(__file__).parent)]
@@ -611,29 +728,28 @@ class TestStep:
         assert result.stdout.strip() == "1"
 
 
-    def test_streamed_frame_is_validated_three_times(self, monkeypatch):
-        import freqcache.frame
-
-        calls = []
-        real = freqcache.frame.validate_frame
-
-        def spy(data):
-            calls.append(1)
-            return real(data)
-
-        for module in (fusion, freqcache.frame):
-            monkeypatch.setattr(module, "validate_frame", spy)
+    def test_streamed_frame_is_scanned_once_in_step(self, monkeypatch):
+        # decide reads finiteness and constancy from each frame's spectrum,
+        # so of the full-frame scans only step's isfinite is left.
         prev, curr = textured(29), textured(30)
-        cache = populate_cache(prev, 8, default_token_fn)
-        calls.clear()
-        cache, _ = step(cache, decide(prev, curr, CFG32), curr, default_token_fn)
-        # decide checks prev and curr, step checks curr once more
-        assert len(calls) == 3
-        calls.clear()
         nxt = np.roll(curr, (8, 0), axis=(0, 1))
-        step(cache, decide(curr, nxt, CFG32, step=2), nxt, default_token_fn)
-        # the carried-over prev is not checked again
-        assert len(calls) == 2
+        scans = count_frame_scans(monkeypatch, prev.shape)
+        cache = populate_cache(prev, 8, default_token_fn)
+
+        def stream_two_steps():
+            scans.clear()
+            d = decide(prev, curr, CFG32)
+            counts = [dict(scans)]
+            new_cache, _ = step(cache, d, curr, default_token_fn)
+            counts.append(dict(scans))
+            d = decide(curr, nxt, CFG32, step=2)
+            counts.append(dict(scans))
+            step(new_cache, d, nxt, default_token_fn)
+            counts.append(dict(scans))
+            return counts
+
+        assert in_fresh_thread(stream_two_steps) == [
+            {}, {"isfinite": 1}, {"isfinite": 1}, {"isfinite": 2}]
 
 
 class TestStream:

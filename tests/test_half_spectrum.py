@@ -49,6 +49,12 @@ class TestHermitianWeights:
     def test_sum_to_width(self, width):
         assert hermitian_weights(width).sum() == width
 
+    def test_one_read_only_array_per_width(self):
+        weights = hermitian_weights(10)
+        assert hermitian_weights(10) is weights
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 2.0
+
     def test_rejects_weights_of_wrong_length(self):
         with pytest.raises(ValueError, match="one weight per column"):
             bin_dot(np.ones((4, 3)), np.ones((4, 3)), hermitian_weights(6))

@@ -115,3 +115,28 @@ def test_ab_bench_takes_a_good_result_line(ab_bench):
     line = result_line(**{"shots-224-p16/peak_rss_mb": 86.9,
                           "shots-224-p16/fusion.step.tokens_reused": 88})
     assert ab_bench.checked_result(line, "here") == json.loads(line)
+
+
+def test_near_constant_scene_holds_what_it_names(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import numpy as np
+    import same_outputs
+    from freqcache import fusion
+    from freqcache.frameio import load_frames
+
+    same_outputs.write_near_constant(tmp_path / "scene.fqc")
+    frames = load_frames(tmp_path / "scene.fqc")
+    for t in (0, 3, 6):
+        flat, nudged = frames[t], frames[t + 1]
+        assert np.ptp(flat) == 0.0
+        moved = np.flatnonzero(nudged != flat)
+        assert moved.size == 1
+        level = np.float32(flat.flat[0])
+        assert np.float32(nudged.flat[moved[0]]) == np.nextafter(
+            level, np.float32(np.inf))
+    deep = frames[9]
+    assert 0.0 < np.ptp(deep) <= 3 * np.spacing(np.float32(4096.0))
+    # every frame's constant flag, read from its spectrum, is the exact one
+    for t in range(len(frames)):
+        assert (fusion._half_spectrum(frames[t]).constant
+                == (np.ptp(frames[t]) == 0.0))

@@ -7,16 +7,18 @@ Exports each revision with ``git archive`` into a temporary directory and
 runs its CLI (``python -m freqcache`` with that revision's ``src`` first on
 ``PYTHONPATH``) on each scene of ``SCENES``: the criterion-7 chain
 ``synth``, ``analyze``, ``masks``, then ``compare`` from the scene flags and
-from ``--input``. The flat-patch scene is no synthetic kind: its rawf32
-input is written by :func:`write_flat_patches`, and it runs ``analyze``,
-``masks`` and ``compare --input``. Every command runs in the scene's
-output directory with relative paths, so its stdout names the same files
-on both sides; each stdout is saved next to the outputs. Then every file
-of the two output trees is compared byte for byte, except manifests,
-which hold wall-clock times. Prints one line per difference and exits 1 if there is any, 0 if
-none. Running outside a git repository, a revision that is not a commit
-of it (see revisions.py), or a command that fails on either side stops
-the check with status 2. Uses the standard library only.
+from ``--input``. The flat-patch and near-constant scenes are no
+synthetic kind: their rawf32 inputs are written by
+:func:`write_flat_patches` and :func:`write_near_constant`, and they run
+``analyze``, ``masks`` and ``compare --input``. Every command runs in
+the scene's output directory with relative paths, so its stdout names
+the same files on both sides; each stdout is saved next to the outputs.
+Then every file of the two output trees is compared byte for byte,
+except manifests, which hold wall-clock times. Prints one line per
+difference and exits 1 if there is any, 0 if none. Running outside a git
+repository, a revision that is not a commit of it (see revisions.py), or
+a command that fails on either side stops the check with status 2.
+Uses the standard library only.
 """
 
 import argparse
@@ -34,7 +36,8 @@ TOOL = "same_outputs"
 
 SIDES = ("parent", "change")
 # name: (synth and compare scene flags, patch size). The first is the
-# criterion-7 scene; one without flags reads write_flat_patches' input.
+# criterion-7 scene; one without flags reads the input its WRITERS entry
+# writes.
 SCENES = {
     "translate-64-p8": (["--kind", "translate", "--height", "64", "--width",
                          "64", "--length", "8", "--seed", "21",
@@ -48,7 +51,51 @@ SCENES = {
     "static-112-p8": (["--kind", "static", "--height", "112", "--width",
                        "112", "--length", "8", "--seed", "7"], 8),
     "flat-patches-64-p8": (None, 8),
+    "near-constant-64-p8": (None, 8),
 }
+
+
+def write_rawf32(path, size, frames):
+    """Write ``size`` x ``size`` frames, each a list of rows, as rawf32."""
+    with open(path, "wb") as fh:
+        fh.write(b"FQC1" + struct.pack("<III", size, size, len(frames)))
+        for rows in frames:
+            fh.write(struct.pack(f"<{size * size}f",
+                                 *(v for row in rows for v in row)))
+
+
+def roll(rows, di, dj):
+    """A square frame shifted cyclically by ``(di, dj)`` pixels."""
+    size = len(rows)
+    return [[rows[(i - di) % size][(j - dj) % size] for j in range(size)]
+            for i in range(size)]
+
+
+def ulps_up(value, count=1):
+    """The float32 ``count`` representable steps above the positive float32
+    ``value``."""
+    bits, = struct.unpack("<I", struct.pack("<f", value))
+    return struct.unpack("<f", struct.pack("<I", bits + count))[0]
+
+
+def write_near_constant(path, size=64, patch_size=8):
+    """Write a rawf32 sequence of ``size`` x ``size`` frames at or near
+    constant: for each of the levels 0.37, 3e38 and 1.2e-38 (the edge of
+    float32's normal range), a constant frame, the same frame with one
+    pixel one float32 ulp higher, and a shift of that; then a large level
+    with a texture a few ulps deep, a shift of it, and a textured frame."""
+    rng = random.Random(19)
+    frames = []
+    for level in (0.37, 3e38, 1.2e-38):
+        flat = [[level] * size for _ in range(size)]
+        nudged = [row[:] for row in flat]
+        nudged[patch_size + 3][2 * patch_size + 5] = ulps_up(level)
+        frames += [flat, nudged, roll(nudged, patch_size, 2 * patch_size)]
+    deep = [[ulps_up(4096.0, rng.randrange(4)) for _ in range(size)]
+            for _ in range(size)]
+    frames += [deep, roll(deep, 3, 5),
+               [[rng.random() for _ in range(size)] for _ in range(size)]]
+    write_rawf32(path, size, frames)
 
 
 def write_flat_patches(path, size=64, patch_size=8):
@@ -64,10 +111,6 @@ def write_flat_patches(path, size=64, patch_size=8):
     def frame(pixel):
         return [[pixel(i, j) for j in range(size)] for i in range(size)]
 
-    def roll(rows, di, dj):
-        return [[rows[(i - di) % size][(j - dj) % size] for j in range(size)]
-                for i in range(size)]
-
     def level(i, j):
         return levels[((i // patch_size) * n + j // patch_size) % len(levels)]
 
@@ -81,11 +124,12 @@ def write_flat_patches(path, size=64, patch_size=8):
               roll(mixed, 2 * p, 4 * p),
               flat, roll(flat, p, p), frame(lambda i, j: 0.37),
               frame(lambda i, j: 0.0), textured, roll(textured, 3, 5)]
-    with open(path, "wb") as fh:
-        fh.write(b"FQC1" + struct.pack("<III", size, size, len(frames)))
-        for rows in frames:
-            fh.write(struct.pack(f"<{size * size}f",
-                                 *(v for row in rows for v in row)))
+    write_rawf32(path, size, frames)
+
+
+# The writers of the scenes that are no synthetic kind, by scene name.
+WRITERS = {"flat-patches-64-p8": write_flat_patches,
+           "near-constant-64-p8": write_near_constant}
 
 
 def commands(scene, patch_size):
@@ -117,7 +161,7 @@ def run_side(tree, out):
         cwd = out / name
         (cwd / "stdout").mkdir(parents=True)
         if scene is None:
-            write_flat_patches(cwd / "scene.fqc", patch_size=patch_size)
+            WRITERS[name](cwd / "scene.fqc", patch_size=patch_size)
         for i, (label, argv) in enumerate(commands(scene, patch_size)):
             proc = subprocess.run([sys.executable, "-m", "freqcache", *argv],
                                   cwd=cwd, env=env, stdin=subprocess.DEVNULL,
