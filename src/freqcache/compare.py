@@ -61,15 +61,13 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     The visual baseline embeds patches as raw intensity vectors, which is
     exactly the position-wise matching it stands for; a patch with no
     energy in either frame (all zero) scores cosine 0. A threshold outside
-    [-1, 1] (NaN too) or fewer than two frames raise ValueError first; a
-    frame that :func:`fusion.decide` rejects raises its ValueError naming
-    the step.
+    [-1, 1] (NaN too) raises ValueError first; fewer than two frames, or a
+    frame that :func:`fusion.decide` rejects, raise :func:`fusion.stream`'s
+    ValueError. ``frames`` may be any iterable; it is walked once.
     """
     thresholds = {"tau_visual": tau_visual, "tau_naive_freq": tau_naive_freq}
     for name, tau in thresholds.items():
         check_cosine(name, tau)
-    if len(frames) < 2:
-        raise ValueError("need at least 2 frames")
     have_labels = edge_labels is not None
 
     names = ("freqcache", "visual", "naive_freq")
@@ -122,7 +120,7 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
             "speedup": speedup,
         }
     return {
-        "n_steps": len(frames) - 1,
+        "n_steps": len(reused["freqcache"]),
         "n_tokens": n,
         "baseline_latency_ms": DEFAULT_COST_MODEL.latency_ms(n),
         "thresholds": thresholds,

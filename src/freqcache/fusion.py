@@ -156,10 +156,10 @@ def topk_ascending(candidates, energies, k):
 
 
 class _Analysis(NamedTuple):
-    """What ``decide`` reads of one validated frame: its read-only ``rfft2``
-    half spectrum (``complex64`` in ``decide``) and amplitude, the power of
-    its full spectrum (the squared norm ``sim_freq`` and the entropy take
-    from it), and whether it is constant."""
+    """What ``decide`` reads of one frame that :func:`_scanned` returned:
+    its read-only ``rfft2`` half spectrum (``complex64`` in ``decide``) and
+    amplitude, the power of its full spectrum (the squared norm ``sim_freq``
+    and the entropy take from it), and whether it is constant."""
 
     spectrum: np.ndarray
     amplitude: np.ndarray
@@ -167,43 +167,36 @@ class _Analysis(NamedTuple):
     constant: bool
 
 
-# Phase correlation ignores a spectrum's scale but multiplies in single
-# precision. A spectrum rounded for it whose power lies outside this range is
-# first scaled by a power of two to a power near 1, so those products
-# neither overflow nor underflow; inside it, the scale stays as it is.
-_SINGLE_POWER_RANGE = (2.0 ** -60, 2.0 ** 120)
+def _scanned(frame):
+    """A :func:`frame_array` result brought near unit scale, and whether it
+    is constant; ValueError if it holds a non-finite value.
+
+    One ``min`` and one ``max`` tell all three. A frame whose largest
+    magnitude has a binary exponent (as :func:`math.frexp` gives it)
+    outside [-16, 16] is scaled by a power of two to one in [0.5, 1), so no
+    stage overflows and no power or energy underflows to zero. The scale
+    commutes with every operation ``decide`` runs, so a frame inside the
+    window keeps every bit and one outside it decides as it would at unit
+    scale, unless the scale rounds its smallest values to subnormals.
+    """
+    lo, hi = np.min(frame), np.max(frame)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("frame contains non-finite values")
+    exponent = math.frexp(max(-lo, hi))[1]
+    if not -16 <= exponent <= 16:
+        frame = np.ldexp(frame, -exponent)
+    return frame, bool(lo == hi)
 
 
-# A constant frame's spectrum holds only its DC bin and round-off, some
-# 1e-25 of its power; a frame whose power exceeds its squared DC amplitude
-# by this factor is not constant. A NaN power (an overflowing transform can
-# give one) exceeds nothing, so such a frame is scanned.
-_CONSTANT_POWER_SHARE = 1.0 + 2.0 ** -20
-
-
-def _half_spectrum(frame, single=False):
-    """The analysis of a frame that :func:`frame_array` returned; ValueError
-    if it holds a non-finite value. With ``single`` its spectrum is rounded
-    to ``complex64`` (see :data:`_SINGLE_POWER_RANGE`) after the amplitude
-    and the power are taken from the ``complex128`` one.
-
-    A NaN or infinite pixel makes the DC bin, and so the power, non-finite:
-    only then is the frame scanned, by :func:`validate_frame`, which raises
-    unless the transform merely overflowed. Only a frame whose power is not
-    clearly above its squared DC amplitude is scanned for constancy."""
+def _half_spectrum(frame, constant=False, single=False):
+    """The analysis of a frame that :func:`_scanned` returned, with the
+    ``constant`` flag it gave. With ``single`` the spectrum is rounded to
+    ``complex64`` after the amplitude and the power are taken from the
+    ``complex128`` one."""
     spectrum = scipy.fft.rfft2(frame)
     amplitude = np.abs(spectrum)
-    weights = hermitian_weights(frame.shape[1])
-    power = bin_dot(amplitude, amplitude, weights)
-    if not math.isfinite(power):
-        validate_frame(frame)
-    dc = float(amplitude[0, 0])
-    constant = (not power > dc * dc * _CONSTANT_POWER_SHARE
-                and bool(np.ptp(frame) == 0.0))
+    power = bin_dot(amplitude, amplitude, hermitian_weights(frame.shape[1]))
     if single:
-        low, high = _SINGLE_POWER_RANGE
-        if power > 0.0 and not low <= power <= high:
-            spectrum *= math.ldexp(1.0, -(math.frexp(power)[1] // 2))
         spectrum = spectrum.astype(np.complex64)
     spectrum.flags.writeable = False
     amplitude.flags.writeable = False
@@ -236,34 +229,37 @@ def decide(prev, curr, cfg, *, step=0):
 
     The migration, budget, and edge analyses are independent and join at a
     single synchronization point before token selection; the spectral ones
-    read ``rfft2`` half spectra. Each frame is analysed once per stream:
-    ``curr``'s analysis is kept, with a copy of its bits, for this thread's
-    next call, and a ``prev`` holding exactly those bits reuses it without
-    being analysed again (a frame buffer rewritten in place misses). A
-    frame's values are scanned only when its spectrum shows they may be
-    non-finite or constant (see :func:`_half_spectrum`). Degenerate inputs (a frame whose spectrum has no power, or a
-    constant frame) force a flush with a diagnostic instead of raising, so a
-    black frame cannot abort a sequence; the analyses they make undefined
-    keep their defaults.
+    read ``rfft2`` half spectra. Each new frame is scanned once for
+    finiteness, constancy and scale, and brought near unit scale by a power
+    of two when it lies far from it (see :func:`_scanned`), so no stage
+    overflows or underflows at any scale. Each frame is analysed once per
+    stream: ``curr``'s analysis is kept, with a copy of its bits, for this
+    thread's next call, and a ``prev`` holding exactly those bits reuses it
+    without being scanned or analysed again (a frame buffer rewritten in
+    place misses). Degenerate inputs (a frame whose spectrum has no power,
+    or a constant frame) force a flush with a diagnostic instead of
+    raising, so a black frame cannot abort a sequence; the analyses they
+    make undefined keep their defaults.
     """
     t0 = time.perf_counter_ns()
     a_prev = _carried(prev)
     if a_prev is None:
         prev = frame_array(prev)
-    curr = frame_array(curr)
-    if prev.shape != curr.shape:
-        raise ValueError(f"frame shapes differ: {prev.shape} vs {curr.shape}")
+    bits = frame_array(curr)  # the caller's values, which the carry keeps
+    if prev.shape != bits.shape:
+        raise ValueError(f"frame shapes differ: {prev.shape} vs {bits.shape}")
+    curr, constant = _scanned(bits)
     grid = PatchGrid._of_valid(curr, cfg.patch_size)
     n = grid.n_patches
     timings = {"intake": (time.perf_counter_ns() - t0) // 1000}
 
     t0 = time.perf_counter_ns()
     if a_prev is None:
-        a_prev = _half_spectrum(prev, single=True)
-    a_curr = _half_spectrum(curr, single=True)
+        a_prev = _half_spectrum(*_scanned(prev), single=True)
+    a_curr = _half_spectrum(curr, constant, single=True)
     if _last.bits is None or _last.bits.shape != curr.shape:
         _last.bits = np.empty(curr.shape)
-    np.copyto(_last.bits, curr)
+    np.copyto(_last.bits, bits)
     _last.analysis = a_curr
     weights = hermitian_weights(curr.shape[1])
     timings["transform"] = (time.perf_counter_ns() - t0) // 1000
@@ -483,13 +479,14 @@ class SequenceReport:
 
 
 def run_sequence(frames, cfg):
-    """Fold :func:`stream` over consecutive frames into aggregate metrics."""
+    """Fold :func:`stream` over consecutive frames, any iterable of them,
+    into aggregate metrics."""
     decisions = list(stream(frames, cfg))
     n = decisions[0].rows * decisions[0].cols
     reuse_ratio, _, speedup = DEFAULT_COST_MODEL.summary(
         [d.k_final for d in decisions], n)
     return SequenceReport(
-        n_frames=len(frames),
+        n_frames=len(decisions) + 1,
         n_tokens=n,
         decisions=decisions,
         mean_reuse_ratio=reuse_ratio,

@@ -103,14 +103,13 @@ def phase_correlation_spectra(spec_prev, spec_curr, shape, patch_size=1):
     spectrum; Hermitian symmetry implies the rest, so the response equals
     the full-spectrum ``ifft2`` one. Every normalized bin has unit
     magnitude, so the round-off stays near 1e-7 of the peak, while a
-    shift's impulse stands far above the rest of the response. A product
-    of two bins must lie within the ``float32`` range (about 1e-38 to
-    3e38), so ``decide`` scales a spectrum whose power lies far outside it
-    by a power of two first. Neither input is written to. The cross-power
-    spectrum and its magnitude share 12 bytes per half-spectrum bin of
-    this thread's :func:`~freqcache.spectral.scratch` region, so a stream
-    of equal-shape ``complex64`` spectra allocates no new temporaries for
-    them.
+    shift's impulse stands far above the rest of the response. The
+    products of bins must stay inside the ``float32`` range, which
+    ``decide``'s frames, brought near unit scale, keep to. Neither input is
+    written to. The cross-power spectrum and its magnitude share 12 bytes
+    per half-spectrum bin of this thread's
+    :func:`~freqcache.spectral.scratch` region, so a stream of equal-shape
+    ``complex64`` spectra allocates no new temporaries for them.
     """
     h, w = shape
     if spec_prev.shape != (h, w // 2 + 1) or spec_curr.shape != spec_prev.shape:

@@ -17,13 +17,12 @@ with it bit for bit. ``patch_energy_scanned`` likewise restates
 ``patch_energy`` with the flatness test run on every patch.
 ``default_token_fn_reference`` restates ``default_token_fn`` with its
 clip, scale, truncate and ``minimum`` passes and NumPy's ``mean`` and
-``var``, and ``decide_validating_first`` runs ``decide`` after scanning both
-frames for finiteness up front, as it once did itself.
+``var``.
 ``load_rawf32_eager`` restates the rawf32 loader that read the whole file
 at once, for the lazy sequence to match frame by frame, and
 ``CountingFrames`` wraps frames in that sequence's interface to count how
 often each is read. ``count_frame_scans`` counts the whole-frame
-``np.isfinite`` and ``np.ptp`` scans a run makes.
+``np.isfinite``, ``np.ptp``, ``np.min`` and ``np.max`` scans a run makes.
 """
 
 import math
@@ -39,7 +38,7 @@ from freqcache.edge_refresh import _dct_rows, cutoff_index
 from freqcache.errors import DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
 from freqcache.frameio import FrameSequence
-from freqcache.fusion import CacheDecision, _check_decision, decide
+from freqcache.fusion import CacheDecision, _check_decision
 from freqcache.migration import (
     CROSS_POWER_EPS,
     Displacement,
@@ -78,10 +77,11 @@ class CountingFrames(FrameSequence):
 
 
 def count_frame_scans(monkeypatch, shape):
-    """Counts, by name, of the ``np.isfinite`` and ``np.ptp`` calls made
-    from now on over a whole array of ``shape``."""
+    """Counts, by name, of the ``np.isfinite``, ``np.ptp``, ``np.min`` and
+    ``np.max`` calls made from now on over a whole array of ``shape`` (the
+    ``ndarray`` methods of the same names are not seen)."""
     scans = {}
-    for name in ("isfinite", "ptp"):
+    for name in ("isfinite", "ptp", "min", "max"):
         real = getattr(np, name)
 
         def spy(a, *args, _name=name, _real=real, **kwargs):
@@ -223,12 +223,6 @@ def default_token_fn_reference(patches):
     out[:, 16] = flat.mean(axis=1)
     out[:, 17] = flat.var(axis=1)
     return out
-
-
-def decide_validating_first(prev, curr, cfg, *, step=0):
-    """``decide`` on two frames that :func:`validate_frame` has scanned
-    first, so a non-finite value raises before any transform runs."""
-    return decide(validate_frame(prev), validate_frame(curr), cfg, step=step)
 
 
 def phase_correlation_full_spectrum(spec_prev, spec_curr, patch_size=1):

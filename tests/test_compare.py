@@ -114,7 +114,7 @@ def test_each_frame_is_read_once():
 
 
 def test_finite_frames_are_not_scanned(monkeypatch):
-    # decide reads finiteness and constancy from the spectra, and compare
+    # decide scans each new frame with one min and one max, and compare
     # runs no step, so no full-frame isfinite or ptp scan is left.
     scene = generate_scene(
         SceneSpec(kind="translate", height=32, width=32, length=8, seed=4,
@@ -122,7 +122,7 @@ def test_finite_frames_are_not_scanned(monkeypatch):
     )
     scans = count_frame_scans(monkeypatch, (32, 32))
     compare_domains(scene.frames, CacheConfig(patch_size=8))
-    assert scans == {}
+    assert scans == {"min": 8, "max": 8}
 
 
 @pytest.mark.parametrize("first,message", [
@@ -150,6 +150,22 @@ def test_freqcache_policy_equals_run_sequence():
     assert policy["mean_latency_ms"] == DEFAULT_COST_MODEL.summary(
         [d.k_final for d in report.decisions], report.n_tokens)[1]
     assert policy["speedup"] == report.speedup
+
+
+def test_an_iterator_gives_the_report_of_the_list():
+    scene = generate_scene(
+        SceneSpec(kind="edge-inject", height=64, width=64, length=6, seed=6,
+                  edge_count=4, patch_size=8)
+    )
+    cfg = CacheConfig(patch_size=8)
+    report = run_sequence(scene.frames, cfg)
+    assert report.n_frames == 6
+    assert run_sequence(iter(scene.frames), cfg) == report
+    compared = compare_domains(scene.frames, cfg,
+                               edge_labels=scene.edge_labels)
+    assert compared["n_steps"] == 5
+    assert compare_domains(iter(scene.frames), cfg,
+                           edge_labels=scene.edge_labels) == compared
 
 
 @pytest.mark.parametrize("key,value", [

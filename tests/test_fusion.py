@@ -47,7 +47,6 @@ from oracles import (
     assert_decision_equivalence,
     count_frame_scans,
     decide_reference,
-    decide_validating_first,
 )
 
 CFG32 = CacheConfig(patch_size=8)
@@ -141,9 +140,10 @@ class TestDecide:
         d3 = decide(frame, np.zeros((32, 32)), CFG32)
         assert d3.flushed and d3.diagnostic == "degenerate spectrum"
         assert d3.entropy == EntropyReading(0.0, 0.0, 1024) and d3.k_reuse == 0
-        # every squared amplitude underflows, so the power is exactly 0
-        d4 = decide(frame, frame * 1e-170, CFG32)
-        assert d4.flushed and d4.diagnostic == "degenerate spectrum"
+        # every squared amplitude of this frame would underflow, but decide
+        # scales it back to the unit-scale frame first
+        d4 = decide(frame, np.ldexp(frame, -565), CFG32)
+        assert d4 == decide(frame, frame, CFG32)
         # the constant frame comes back as the carried-over prev
         for d in fusion.stream([frame, np.full((32, 32), 0.5), frame], CFG32):
             assert d.flushed
@@ -168,17 +168,6 @@ class TestDecide:
         d = decide(prev, curr, CacheConfig(patch_size=4))
         assert sorted(d.reuse_set + d.recompute_set) == list(range(16))
         assert d.k_final == min(d.k_reuse, d.k_candidate)
-
-    @pytest.mark.parametrize("scale", [2.0 ** -140, 2.0 ** -100, 2.0 ** 70,
-                                       2.0 ** 140])
-    def test_shift_is_found_far_from_unit_scale(self, scale):
-        # Unscaled, these frames' single-precision cross-power products
-        # would overflow or underflow float32.
-        prev = textured(57, (64, 64)) * scale
-        curr = np.roll(prev, (3, -5), axis=(0, 1))
-        d = decide(prev, curr, CFG32)
-        assert (d.displacement.di, d.displacement.dj) == (3, -5)
-        assert not d.flushed and d.k_final > 0
 
 
 def in_fresh_thread(fn, *args, **kwargs):
@@ -373,8 +362,9 @@ def with_pixel(frame, value, at=(3, 5)):
 
 
 class TestChecksFromSpectrum:
-    """decide reads finiteness and constancy from each frame's spectrum and
-    scans the frame only when the spectrum cannot tell."""
+    """decide scans each new frame with one min and one max, which give its
+    finiteness, its constancy and the power of two that brings it near unit
+    scale; a carried prev is not scanned again."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["curr", "uncarried prev",
@@ -395,20 +385,39 @@ class TestChecksFromSpectrum:
         # and the next good pair is analysed as in a fresh thread
         assert got[2] == in_fresh_thread(outcomes, decide, pairs[-1:])[0]
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
-    def test_frame_whose_power_overflows_acts_as_if_validated_first(self, scale):
-        # Finite frames whose transform or power overflows pass the scan
-        # and go on as they did when decide scanned every frame first.
-        a, b, c = shifted_stream(61, (32, 32), n=3)
-        for pairs in ([(a * scale, b * scale), (b * scale, c * scale)],
-                      [(a, b * scale), (b * scale, c)],
-                      [(with_pixel(a, 1.7e308), b)]):
-            got = in_fresh_thread(outcomes, decide, pairs)
-            assert got == in_fresh_thread(outcomes, decide_validating_first,
-                                          pairs)
-            assert all(result != ("ValueError",
-                                  "frame contains non-finite values")
-                       for result, _ in got)
+    def test_decisions_do_not_depend_on_scale(self):
+        # every k at which 2^k scales both float32-exact frames exactly,
+        # from the subnormal floor to the top of the float64 range
+        rng = np.random.default_rng(61)
+        prev = rng.random((64, 64), dtype=np.float32).astype(np.float64)
+        curr = np.roll(prev, (3, 5), axis=(0, 1))
+        unit = decide(prev, curr, CFG32)
+        assert (unit.displacement.di, unit.displacement.dj) == (3, 5)
+        assert not unit.flushed and unit.k_final > 0
+        exact = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-1100, 1100):
+                with np.errstate(all="ignore"):
+                    pair = np.ldexp(prev, k), np.ldexp(curr, k)
+                    if not np.array_equal(np.ldexp(pair[0], -k), prev):
+                        continue
+                assert decide(*pair, CFG32) == unit, k
+                exact.append(k)
+            assert exact == list(range(-1050, 1025))
+            # a finite pixel at the top of the range decides too
+            for value in (1.7e308, -1.7e308):
+                for pair in ((with_pixel(prev, value), curr),
+                             (prev, with_pixel(curr, value))):
+                    decide(*pair, CFG32)
+
+    def test_scaled_frame_is_carried_by_its_own_bits(self, monkeypatch):
+        unit = shifted_stream(63, (32, 32), n=3)
+        frames = [np.ldexp(frame, -600) for frame in unit]
+        scans = count_frame_scans(monkeypatch, (32, 32))
+        got = in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
+        assert scans == {"min": 3, "max": 3}
+        assert got == in_fresh_thread(lambda: list(fusion.stream(unit, CFG32)))
 
     def test_constant_flag_equals_ptp(self):
         rng = np.random.default_rng(62)
@@ -420,21 +429,21 @@ class TestChecksFromSpectrum:
             flat = np.full(shape, c)
             frames += [flat, with_pixel(flat, np.nextafter(c, np.inf), (5, 7)),
                        with_pixel(flat, np.nextafter(c, -np.inf), (0, 0))]
-        # a large DC and a tiny texture: the power is within 2^-20 of the
-        # squared DC, so the frame is scanned and found not constant
+        # a large DC and a tiny texture
         frames.append(1e6 + 1e-9 * rng.random(shape))
         frames.append(1e300 + 1e290 * rng.random(shape))
         frames += [rng.random(shape) * 10.0 ** k for k in (-300, -3, 0, 3, 300)]
         for i, frame in enumerate(frames):
             constant = bool(np.ptp(frame) == 0.0)
-            assert fusion._half_spectrum(frame).constant == constant, i
-            assert fusion._half_spectrum(frame.T.copy()).constant == constant, i
+            assert fusion._scanned(frame)[1] == constant, i
+            assert fusion._scanned(frame.T.copy())[1] == constant, i
 
     def test_textured_frames_skip_the_constancy_scan(self, monkeypatch):
         frames = shifted_stream(63, (32, 32), n=3)
         scans = count_frame_scans(monkeypatch, (32, 32))
         in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
-        assert scans == {}
+        # one min and one max per new frame, and no isfinite or ptp scan
+        assert scans == {"min": 3, "max": 3}
 
 
 def shifted_stream(seed, shape, n=3, shift=(5, -11)):
@@ -729,8 +738,8 @@ class TestStep:
 
 
     def test_streamed_frame_is_scanned_once_in_step(self, monkeypatch):
-        # decide reads finiteness and constancy from each frame's spectrum,
-        # so of the full-frame scans only step's isfinite is left.
+        # decide scans each new frame with one min and one max, and step
+        # validates each frame it tokenizes with one isfinite.
         prev, curr = textured(29), textured(30)
         nxt = np.roll(curr, (8, 0), axis=(0, 1))
         scans = count_frame_scans(monkeypatch, prev.shape)
@@ -749,7 +758,10 @@ class TestStep:
             return counts
 
         assert in_fresh_thread(stream_two_steps) == [
-            {}, {"isfinite": 1}, {"isfinite": 1}, {"isfinite": 2}]
+            {"min": 2, "max": 2},
+            {"min": 2, "max": 2, "isfinite": 1},
+            {"min": 3, "max": 3, "isfinite": 1},
+            {"min": 3, "max": 3, "isfinite": 2}]
 
 
 class TestStream:
