@@ -17,7 +17,8 @@ with it bit for bit. ``patch_energy_scanned`` likewise restates
 ``patch_energy`` with the flatness test run on every patch.
 ``default_token_fn_reference`` restates ``default_token_fn`` with its
 clip, scale, truncate and ``minimum`` passes and NumPy's ``mean`` and
-``var``.
+``var``, and ``decide_validating_first`` runs ``decide`` after scanning both
+frames for finiteness up front, as it once did itself.
 ``load_rawf32_eager`` restates the rawf32 loader that read the whole file
 at once, for the lazy sequence to match frame by frame, and
 ``CountingFrames`` wraps frames in that sequence's interface to count how
@@ -38,7 +39,7 @@ from freqcache.edge_refresh import _dct_rows, cutoff_index
 from freqcache.errors import DegenerateSpectrumError
 from freqcache.frame import PatchGrid, validate_frame
 from freqcache.frameio import FrameSequence
-from freqcache.fusion import CacheDecision, _check_decision
+from freqcache.fusion import CacheDecision, _check_decision, decide
 from freqcache.migration import (
     CROSS_POWER_EPS,
     Displacement,
@@ -223,6 +224,12 @@ def default_token_fn_reference(patches):
     out[:, 16] = flat.mean(axis=1)
     out[:, 17] = flat.var(axis=1)
     return out
+
+
+def decide_validating_first(prev, curr, cfg, *, step=0):
+    """``decide`` on two frames that :func:`validate_frame` has scanned
+    first, so a non-finite value raises before any transform runs."""
+    return decide(validate_frame(prev), validate_frame(curr), cfg, step=step)
 
 
 def phase_correlation_full_spectrum(spec_prev, spec_curr, patch_size=1):

@@ -47,6 +47,7 @@ from oracles import (
     assert_decision_equivalence,
     count_frame_scans,
     decide_reference,
+    decide_validating_first,
 )
 
 CFG32 = CacheConfig(patch_size=8)
@@ -168,6 +169,17 @@ class TestDecide:
         d = decide(prev, curr, CacheConfig(patch_size=4))
         assert sorted(d.reuse_set + d.recompute_set) == list(range(16))
         assert d.k_final == min(d.k_reuse, d.k_candidate)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -140, 2.0 ** -100, 2.0 ** 70,
+                                       2.0 ** 140])
+    def test_shift_is_found_far_from_unit_scale(self, scale):
+        # Unscaled, these frames' single-precision cross-power products
+        # would overflow or underflow float32.
+        prev = textured(57, (64, 64)) * scale
+        curr = np.roll(prev, (3, -5), axis=(0, 1))
+        d = decide(prev, curr, CFG32)
+        assert (d.displacement.di, d.displacement.dj) == (3, -5)
+        assert not d.flushed and d.k_final > 0
 
 
 def in_fresh_thread(fn, *args, **kwargs):
@@ -410,6 +422,21 @@ class TestChecksFromSpectrum:
                 for pair in ((with_pixel(prev, value), curr),
                              (prev, with_pixel(curr, value))):
                     decide(*pair, CFG32)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_frame_whose_power_overflows_acts_as_if_validated_first(self, scale):
+        # Finite frames whose unit-scale transform or power would overflow
+        # pass the scan and go on as when decide scanned every frame first.
+        a, b, c = shifted_stream(61, (32, 32), n=3)
+        for pairs in ([(a * scale, b * scale), (b * scale, c * scale)],
+                      [(a, b * scale), (b * scale, c)],
+                      [(with_pixel(a, 1.7e308), b)]):
+            got = in_fresh_thread(outcomes, decide, pairs)
+            assert got == in_fresh_thread(outcomes, decide_validating_first,
+                                          pairs)
+            assert all(result != ("ValueError",
+                                  "frame contains non-finite values")
+                       for result, _ in got)
 
     def test_scaled_frame_is_carried_by_its_own_bits(self, monkeypatch):
         unit = shifted_stream(63, (32, 32), n=3)
