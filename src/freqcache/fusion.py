@@ -142,17 +142,18 @@ def default_token_fn(patches):
 
 
 def topk_ascending(candidates, energies, k):
-    """First k candidate indices by ascending energy; ties break row-major.
+    """The first k candidate indices by ascending energy, ties row-major, as
+    an ``intp`` array; empty when there are no candidates or k <= 0.
 
     ``energies`` is indexed by flat patch index, so candidates may be any
     subset of positions.
     """
-    cand = np.asarray(candidates, dtype=np.int64)
+    cand = np.asarray(candidates, dtype=np.intp)
     if cand.size == 0 or k <= 0:
-        return ()
+        return np.empty(0, dtype=np.intp)
     e = np.asarray(energies, dtype=np.float64).ravel()
     order = np.lexsort((cand, e[cand]))
-    return tuple(cand[order[: min(int(k), cand.size)]].tolist())
+    return cand[order[: min(int(k), cand.size)]]
 
 
 class _Analysis(NamedTuple):
@@ -303,13 +304,10 @@ def decide(prev, curr, cfg, *, step=0):
     # Synchronization point: all three analyses have completed.
     t0 = time.perf_counter_ns()
     flushed = diagnostic is not None or sim < cfg.tau_mig
-    k_candidate, k_final, reuse_set = 0, 0, ()
-    if not flushed:
-        candidates = np.flatnonzero(align & ~fresh)
-        k_candidate = candidates.size
-        k_final = min(k_reuse, k_candidate)
-        reuse_set = topk_ascending(candidates, energies, k_final)
-    reuse = np.fromiter(reuse_set, np.intp, len(reuse_set))
+    candidates = () if flushed else np.flatnonzero(align & ~fresh)
+    k_candidate = len(candidates)
+    k_final = min(k_reuse, k_candidate)
+    reuse = topk_ascending(candidates, energies, k_final)
     keep = np.ones(n, dtype=bool)
     keep[reuse] = False
     recompute = np.flatnonzero(keep)
@@ -325,7 +323,7 @@ def decide(prev, curr, cfg, *, step=0):
         k_reuse=int(k_reuse),
         k_candidate=int(k_candidate),
         k_final=int(k_final),
-        reuse_set=reuse_set,
+        reuse_set=tuple(reuse.tolist()),
         recompute_set=tuple(recompute.tolist()),
         rows=grid.rows,
         cols=grid.cols,
@@ -334,21 +332,18 @@ def decide(prev, curr, cfg, *, step=0):
         timings_us=timings,
     )
     t0 = time.perf_counter_ns()
-    _check_decision(decision, align, fresh, n, reuse, recompute)
+    _check_decision(decision, align, fresh, reuse, recompute)
     timings["check"] = (time.perf_counter_ns() - t0) // 1000
     return decision
 
 
-def _check_decision(decision, align, fresh, n, reuse=None, recompute=None):
+def _check_decision(decision, align, fresh, reuse, recompute):
     """In-run invariants: partition, budget, flush, and safety.
 
-    ``reuse`` and ``recompute`` are the decision's sets as ``intp`` arrays,
-    made from its tuples when not given. Explicit raises rather than
-    ``assert``, so ``python -O`` keeps them.
+    ``reuse`` and ``recompute`` are the decision's sets as ``intp`` arrays.
+    Explicit raises rather than ``assert``, so ``python -O`` keeps them.
     """
-    if reuse is None:
-        reuse = np.array(decision.reuse_set, dtype=np.intp)
-        recompute = np.array(decision.recompute_set, dtype=np.intp)
+    n = decision.rows * decision.cols
     both = np.concatenate((reuse, recompute))
     # n indices, none negative, each of 0 .. n-1 counted once: the counts sum
     # to n over at least n slots, so their least is 1 only then.

@@ -61,10 +61,10 @@ def read_decisions_jsonl(path):
 
     A line that is not a JSON object holding every key in
     :data:`RECORD_KEYS`, whose ``step`` is not a non-negative integer unique
-    in the file, whose ``grid`` is not positive integer ``rows`` and
-    ``cols``, or whose ``reuse_set`` or ``refresh_set`` holds anything but
-    patch indices of that grid, raises ValueError starting with
-    ``path:line:``.
+    in the file, whose ``flushed`` is not a JSON boolean, whose ``grid`` is
+    not positive integer ``rows`` and ``cols``, or whose ``reuse_set`` or
+    ``refresh_set`` holds anything but patch indices of that grid, raises
+    ValueError starting with ``path:line:``.
     """
     records = []
     step_lines = {}
@@ -88,6 +88,9 @@ def read_decisions_jsonl(path):
             if not (type(step) is int and step >= 0):
                 raise ValueError(f"{path}:{lineno}: step must be a "
                                  f"non-negative integer, got {json.dumps(step)}")
+            if type(rec["flushed"]) is not bool:
+                raise ValueError(f"{path}:{lineno}: flushed must be true or "
+                                 f"false, got {json.dumps(rec['flushed'])}")
             _check_indices(rec, f"{path}:{lineno}")
             if step in step_lines:
                 raise ValueError(f"{path}:{lineno}: step {step} repeats line "

@@ -485,7 +485,9 @@ def decide_reference(prev, curr, cfg, *, step=0):
         refresh_set=refresh_set,
         diagnostic=diagnostic,
     )
-    _check_decision(decision, align if not flushed else None, fresh, n)
+    _check_decision(decision, align if not flushed else None, fresh,
+                    np.array(reuse, dtype=np.intp),
+                    np.array(recompute, dtype=np.intp))
     return decision
 
 

@@ -171,6 +171,29 @@ class TestUsageErrors:
             "index in [0, 64) of the 8x8 grid\n")
         assert not (tmp_path / "masks").exists()
 
+    def test_flushed_that_is_not_a_boolean_prints_one_line(self, tmp_path,
+                                                           capsys):
+        raw = tmp_path / "scene.fqc"
+        out = tmp_path / "analysis"
+        run_cli("synth", "--height", 64, "--width", 64, "--length", 3,
+                "--out", raw)
+        run_cli("analyze", "--input", raw, "--out-dir", out,
+                "--patch-size", 8)
+        jsonl = out / "decisions.jsonl"
+        lines = jsonl.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["flushed"] = "false"
+        jsonl.write_text(f"{lines[0]}\n{json.dumps(rec)}\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("masks", "--decisions", jsonl, "--out-dir",
+                    tmp_path / "masks")
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f'freqcache: error: {jsonl}:2: flushed must be true or false, '
+            'got "false"\n')
+        assert not (tmp_path / "masks").exists()
+
     def test_repeated_step_prints_one_line(self, tmp_path, capsys):
         raw = tmp_path / "scene.fqc"
         out = tmp_path / "analysis"

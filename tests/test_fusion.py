@@ -60,19 +60,25 @@ def textured(seed, shape=(32, 32)):
 class TestTopKAscending:
     def test_ascending_energy_order(self):
         energies = np.array([5.0, 1.0, 3.0])
-        assert topk_ascending([0, 1, 2], energies, 2) == (1, 2)
+        chosen = topk_ascending([0, 1, 2], energies, 2)
+        assert chosen.dtype == np.intp
+        assert chosen.tolist() == [1, 2]
 
     def test_budget_exceeds_candidates(self):
         energies = np.array([4.0, 2.0, 9.0, 1.0])
-        assert topk_ascending([0, 1, 2, 3], energies, 10) == (3, 1, 0, 2)
+        chosen = topk_ascending([0, 1, 2, 3], energies, 10)
+        assert chosen.tolist() == [3, 1, 0, 2]
 
     def test_ties_break_row_major(self):
         energies = np.array([2.0, 2.0, 2.0, 1.0])
-        assert topk_ascending([2, 0, 1, 3], energies, 3) == (3, 0, 1)
+        assert topk_ascending([2, 0, 1, 3], energies, 3).tolist() == [3, 0, 1]
 
     def test_empty(self):
-        assert topk_ascending([], np.array([]), 5) == ()
-        assert topk_ascending([1], np.array([0.0, 1.0]), 0) == ()
+        for chosen in (topk_ascending([], np.array([]), 5),
+                       topk_ascending([1], np.array([0.0, 1.0]), 0),
+                       topk_ascending([1], np.array([0.0, 1.0]), -1)):
+            assert chosen.dtype == np.intp
+            assert chosen.size == 0
 
 
 class TestCostModel:
@@ -632,31 +638,26 @@ class TestCheckDecision:
         return d
 
     @staticmethod
-    def check(d, arrays):
+    def check(d):
         """``_check_decision`` with the alignment and refresh masks that the
-        decision's own displacement and ``refresh_set`` give; with
-        ``arrays``, its sets are also passed as index arrays, as ``decide``
-        passes them."""
-        n = d.rows * d.cols
+        decision's own displacement and ``refresh_set`` give, and its sets
+        as the index arrays ``decide`` passes."""
         align = alignment_mask(d.displacement,
                                PatchGrid(np.zeros((d.rows * 8, d.cols * 8)), 8))
-        fresh = np.zeros(n, dtype=bool)
+        fresh = np.zeros(d.rows * d.cols, dtype=bool)
         fresh[list(d.refresh_set)] = True
-        sets = ([np.array(d.reuse_set, dtype=np.intp),
-                 np.array(d.recompute_set, dtype=np.intp)] if arrays else [])
-        fusion._check_decision(d, align, fresh.reshape(d.rows, d.cols), n,
-                               *sets)
+        fusion._check_decision(d, align, fresh.reshape(d.rows, d.cols),
+                               np.array(d.reuse_set, dtype=np.intp),
+                               np.array(d.recompute_set, dtype=np.intp))
 
     def test_valid_decision_passes(self):
-        for arrays in (False, True):
-            self.check(self.valid(), arrays)
+        self.check(self.valid())
 
     @pytest.mark.parametrize("name", BROKEN)
     def test_broken_decision_raises(self, name):
         breaks, message = BROKEN[name]
-        for arrays in (False, True):
-            with pytest.raises(InvariantError, match=message):
-                self.check(breaks(self.valid()), arrays)
+        with pytest.raises(InvariantError, match=message):
+            self.check(breaks(self.valid()))
 
     def test_broken_decisions_raise_under_python_O(self):
         paths = [str(Path(freqcache.__file__).parents[1]), str(Path(__file__).parent)]

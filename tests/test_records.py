@@ -67,8 +67,12 @@ def test_record_missing_a_key_names_file_and_line(tmp_path):
     ("grid", {"rows": 4}, "grid must hold positive integer rows and cols"),
     ("step", "1", 'step must be a non-negative integer, got "1"'),
     ("step", True, "step must be a non-negative integer, got true"),
+    ("flushed", "false", 'flushed must be true or false, got "false"'),
+    ("flushed", 0, "flushed must be true or false, got 0"),
+    ("flushed", None, "flushed must be true or false, got null"),
 ], ids=["reuse-999", "refresh-negative", "float-index", "not-a-list",
-        "zero-rows", "no-cols", "string-step", "bool-step"])
+        "zero-rows", "no-cols", "string-step", "bool-step", "string-flushed",
+        "int-flushed", "null-flushed"])
 def test_index_outside_the_grid_names_file_and_line(tmp_path, key, value,
                                                     message):
     rec = decision_record(_decision())
