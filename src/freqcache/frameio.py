@@ -17,6 +17,7 @@ import operator
 import os
 import struct
 from collections.abc import Sequence
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -124,14 +125,15 @@ class FrameSequence(Sequence):
     """The frames of a file or a directory, read when they are indexed.
 
     ``len`` and ``shape`` (that of frame 0) are known up front. Indexing
-    frame t reads, converts and checks it then, and returns a fresh float64
-    array each time, so a walk over the frames holds only the ones its
-    caller keeps. No file stays open between reads.
+    frame t calls ``read(t)``, which reads, converts and checks it then and
+    returns a fresh float64 array each time, so a walk over the frames
+    holds only the ones its caller keeps. No file stays open between reads.
     """
 
-    def __init__(self, count, shape):
+    def __init__(self, count, shape, read):
         self._count = count
         self.shape = shape
+        self._read = read
 
     def __len__(self):
         return self._count
@@ -149,40 +151,26 @@ class FrameSequence(Sequence):
                 f"{exc.filename}: frame {t}: {exc.strerror}") from None
 
 
-class _Rawf32Frames(FrameSequence):
-    def __init__(self, path, count, shape):
-        super().__init__(count, shape)
-        self.path = path
-
-    def _read(self, t):
-        # Each frame is staged as float32 in this thread's scratch region;
-        # only the float64 copy leaves this call.
-        size = 4 * math.prod(self.shape)
-        start = RAWF32_HEADER + t * size
-        raw, = scratch((size,), np.uint8)
-        with open(self.path, "rb") as fh:
-            fh.seek(start)
-            if fh.readinto(raw) < size:
-                raise FrameParseError(
-                    f"{self.path}: truncated rawf32 payload, expected "
-                    f"{RAWF32_HEADER + self._count * size} bytes",
-                    offset=os.fstat(fh.fileno()).st_size,
-                )
-        stage = raw.view("<f4").reshape(self.shape)
-        # A float64 sum of finite float32 values cannot overflow, so it is
-        # finite iff every value is.
-        if not math.isfinite(stage.sum(dtype=np.float64)):
-            raise FrameParseError(f"{self.path}: frame {t} contains non-finite values")
-        return stage.astype(np.float64)
-
-
-class _NetpbmFrames(FrameSequence):
-    def __init__(self, files):
-        super().__init__(len(files), read_netpbm(files[0]).shape)
-        self.files = files
-
-    def _read(self, t):
-        return read_netpbm(self.files[t])
+def _read_rawf32(path, count, shape, t):
+    """Frame t of a rawf32 file whose header :func:`load_rawf32` checked."""
+    # Each frame is staged as float32 in this thread's scratch region; only
+    # the float64 copy leaves this call.
+    size = 4 * math.prod(shape)
+    raw, = scratch((size,), np.uint8)
+    with open(path, "rb") as fh:
+        fh.seek(RAWF32_HEADER + t * size)
+        if fh.readinto(raw) < size:
+            raise FrameParseError(
+                f"{path}: truncated rawf32 payload, expected "
+                f"{RAWF32_HEADER + count * size} bytes",
+                offset=os.fstat(fh.fileno()).st_size,
+            )
+    stage = raw.view("<f4").reshape(shape)
+    # A float64 sum of finite float32 values cannot overflow, so it is
+    # finite iff every value is.
+    if not math.isfinite(stage.sum(dtype=np.float64)):
+        raise FrameParseError(f"{path}: frame {t} contains non-finite values")
+    return stage.astype(np.float64)
 
 
 def load_rawf32(path):
@@ -212,7 +200,9 @@ def load_rawf32(path):
     if size > expected:
         raise FrameParseError(f"{path}: trailing bytes after payload",
                               offset=expected)
-    return _Rawf32Frames(path, count, (height, width))
+    shape = (height, width)
+    return FrameSequence(count, shape,
+                         partial(_read_rawf32, path, count, shape))
 
 
 def load_frames(path, fmt="auto"):
@@ -233,14 +223,14 @@ def load_frames(path, fmt="auto"):
         return load_rawf32(path)
     if fmt == "pgm":
         if path.is_dir():
-            files = sorted(
-                p for p in path.iterdir()
-                if p.suffix.lower() in (".pgm", ".ppm")
-            )
+            files = sorted(p for p in path.iterdir()
+                           if p.suffix.lower() in (".pgm", ".ppm"))
             if not files:
                 raise FrameParseError(f"{path}: no .pgm/.ppm files found")
-            return _NetpbmFrames(files)
-        return _NetpbmFrames([path])
+        else:
+            files = [path]
+        return FrameSequence(len(files), read_netpbm(files[0]).shape,
+                             lambda t: read_netpbm(files[t]))
     raise ValueError(f"unknown format {fmt!r}")
 
 

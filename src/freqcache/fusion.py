@@ -104,7 +104,6 @@ class CacheDecision:
 
 
 _TOKEN_BINS = 16
-_TOKEN_EDGES = np.linspace(0.0, 1.0, _TOKEN_BINS + 1)
 
 
 def default_token_fn(patches):
@@ -121,8 +120,8 @@ def default_token_fn(patches):
     # Scale, clip to [0, 15] and truncate, which also moves 1.0 into the
     # last bin. This needs none of np.histogram's corrections against the
     # edges: 16 is a power of two, so x * 16 is exact for every x (short of
-    # overflow, which the clip absorbs), as is every edge k / 16
-    # (_TOKEN_EDGES * 16 == arange(17)), and x >= k / 16 iff x * 16 >= k.
+    # overflow, which the clip absorbs), as is every edge k / 16, and
+    # x >= k / 16 iff x * 16 >= k.
     scaled = flat * _TOKEN_BINS
     np.clip(scaled, 0.0, _TOKEN_BINS - 1, out=scaled)
     idx = scaled.astype(np.intp)
@@ -157,10 +156,11 @@ def topk_ascending(candidates, energies, k):
 
 
 class _Analysis(NamedTuple):
-    """What ``decide`` reads of one frame that :func:`_scanned` returned:
-    its read-only ``rfft2`` half spectrum (``complex64`` in ``decide``) and
-    amplitude, the power of its full spectrum (the squared norm ``sim_freq``
-    and the entropy take from it), and whether it is constant."""
+    """What ``decide`` reads of one frame, from :func:`_analyse`: the
+    read-only ``complex64`` half spectrum of the frame at unit scale, the
+    read-only amplitude of its own, the power of its full spectrum (the
+    squared norm ``sim_freq`` and the entropy take from it), and whether it
+    is constant."""
 
     spectrum: np.ndarray
     amplitude: np.ndarray
@@ -168,17 +168,20 @@ class _Analysis(NamedTuple):
     constant: bool
 
 
-def _scanned(frame):
-    """A :func:`frame_array` result brought near unit scale, and whether it
-    is constant; ValueError if it holds a non-finite value.
+def _analyse(frame):
+    """A :func:`frame_array` result brought near unit scale, and its
+    :class:`_Analysis`; ValueError if it holds a non-finite value.
 
-    One ``min`` and one ``max`` tell all three. A frame whose largest
-    magnitude has a binary exponent (as :func:`math.frexp` gives it)
-    outside [-16, 16] is scaled by a power of two to one in [0.5, 1), so no
-    stage overflows and no power or energy underflows to zero. The scale
-    commutes with every operation ``decide`` runs, so a frame inside the
-    window keeps every bit and one outside it decides as it would at unit
-    scale, unless the scale rounds its smallest values to subnormals.
+    One ``min`` and one ``max`` tell finiteness, constancy and scale. A
+    frame whose largest magnitude has a binary exponent e (as
+    :func:`math.frexp` gives it) outside [-16, 16] is scaled by 2^-e into
+    [0.5, 1), so no stage overflows and no power or energy underflows to
+    zero; the scale commutes with every operation ``decide`` runs, unless
+    it rounds the smallest values to subnormals. A frame inside the window
+    keeps every bit, and only its ``complex64`` spectrum is scaled by 2^-e,
+    after the amplitude and the power are taken, so phase correlation
+    always reads the spectrum at unit scale and its ``CROSS_POWER_EPS``
+    floor is relative to the frames.
     """
     lo, hi = np.min(frame), np.max(frame)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -186,22 +189,23 @@ def _scanned(frame):
     exponent = math.frexp(max(-lo, hi))[1]
     if not -16 <= exponent <= 16:
         frame = np.ldexp(frame, -exponent)
-    return frame, bool(lo == hi)
-
-
-def _half_spectrum(frame, constant=False, single=False):
-    """The analysis of a frame that :func:`_scanned` returned, with the
-    ``constant`` flag it gave. With ``single`` the spectrum is rounded to
-    ``complex64`` after the amplitude and the power are taken from the
-    ``complex128`` one."""
-    spectrum = scipy.fft.rfft2(frame)
-    amplitude = np.abs(spectrum)
-    power = bin_dot(amplitude, amplitude, hermitian_weights(frame.shape[1]))
-    if single:
-        spectrum = spectrum.astype(np.complex64)
+        exponent = 0
+    spectrum, amplitude, power = _half_spectrum(frame)
+    spectrum = spectrum.astype(np.complex64)
+    if exponent:
+        spectrum *= 2.0 ** -exponent
     spectrum.flags.writeable = False
     amplitude.flags.writeable = False
-    return _Analysis(spectrum, amplitude, power, constant)
+    return frame, _Analysis(spectrum, amplitude, power, bool(lo == hi))
+
+
+def _half_spectrum(frame):
+    """The ``rfft2`` half spectrum of a frame, its amplitude, and the power
+    of the full spectrum it stands for."""
+    spectrum = scipy.fft.rfft2(frame)
+    amplitude = np.abs(spectrum)
+    return spectrum, amplitude, bin_dot(
+        amplitude, amplitude, hermitian_weights(frame.shape[1]))
 
 
 class _LastFrame(threading.local):
@@ -232,7 +236,7 @@ def decide(prev, curr, cfg, *, step=0):
     single synchronization point before token selection; the spectral ones
     read ``rfft2`` half spectra. Each new frame is scanned once for
     finiteness, constancy and scale, and brought near unit scale by a power
-    of two when it lies far from it (see :func:`_scanned`), so no stage
+    of two when it lies far from it (see :func:`_analyse`), so no stage
     overflows or underflows at any scale. Each frame is analysed once per
     stream: ``curr``'s analysis is kept, with a copy of its bits, for this
     thread's next call, and a ``prev`` holding exactly those bits reuses it
@@ -249,15 +253,14 @@ def decide(prev, curr, cfg, *, step=0):
     bits = frame_array(curr)  # the caller's values, which the carry keeps
     if prev.shape != bits.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {bits.shape}")
-    curr, constant = _scanned(bits)
-    grid = PatchGrid._of_valid(curr, cfg.patch_size)
-    n = grid.n_patches
     timings = {"intake": (time.perf_counter_ns() - t0) // 1000}
 
     t0 = time.perf_counter_ns()
+    curr, a_curr = _analyse(bits)
+    grid = PatchGrid._of_valid(curr, cfg.patch_size)
+    n = grid.n_patches
     if a_prev is None:
-        a_prev = _half_spectrum(*_scanned(prev), single=True)
-    a_curr = _half_spectrum(curr, constant, single=True)
+        a_prev = _analyse(prev)[1]
     if _last.bits is None or _last.bits.shape != curr.shape:
         _last.bits = np.empty(curr.shape)
     np.copyto(_last.bits, bits)
@@ -392,8 +395,9 @@ def step(cache, decision, curr, token_fn):
     Reused slots are copied from their displacement-mapped source in the
     previous cache and their age incremented; everything else is recomputed
     with ``token_fn`` at age 0. Passing ``cache=None`` (cold start) or a
-    flushed decision recomputes every slot. A reused slot whose source lies
-    outside the grid raises :class:`InvariantError`.
+    flushed decision recomputes every slot. A cache of another grid raises
+    ValueError; a reused slot whose source lies outside the grid raises
+    :class:`InvariantError`.
     """
     curr = validate_frame(curr)
     rows, cols = decision.rows, decision.cols
@@ -402,6 +406,11 @@ def step(cache, decision, curr, token_fn):
         raise ValueError(
             f"decision grid {rows}x{cols} does not tile frame {h}x{w}"
         )
+    if cache is not None and not (
+            cache.tokens.shape[:2] == cache.ages.shape == (rows, cols)):
+        raise ValueError(f"cache grid {cache.tokens.shape[:2]} (ages "
+                         f"{cache.ages.shape}) does not match decision grid "
+                         f"{rows}x{cols}")
     grid = PatchGrid._of_valid(curr, h // rows)
     n = grid.n_patches
 

@@ -68,11 +68,11 @@ class CountingFrames(FrameSequence):
     def __init__(self, frames):
         shape = (frames.shape if isinstance(frames, FrameSequence)
                  else np.shape(frames[0]))
-        super().__init__(len(frames), shape)
+        super().__init__(len(frames), shape, self._count_read)
         self.frames = frames
         self.reads = [0] * len(frames)
 
-    def _read(self, t):
+    def _count_read(self, t):
         self.reads[t] += 1
         return self.frames[t]
 

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from freqcache import PatchGrid, default_token_fn
 from freqcache.frame import TOKEN_CHUNK_PIXELS
-from freqcache.fusion import _TOKEN_BINS, _TOKEN_EDGES
+from freqcache.fusion import _TOKEN_BINS
 
 from oracles import default_token_fn_reference, histogram_token
 
-EDGES = np.linspace(0.0, 1.0, 17)
+# default_token_fn's bin edges over [0, 1].
+EDGES = np.linspace(0.0, 1.0, _TOKEN_BINS + 1)
 # Exact bin edges and -0.0, their floating-point neighbours, values outside
 # [0, 1] and plain values inside it.
 PIXELS = st.one_of(
@@ -78,8 +79,7 @@ class TestDefaultTokenFn:
         # default_token_fn bins by truncating x * 16 with no correction
         # against the edges; that is exact only while every edge scales to
         # its integer exactly.
-        assert np.array_equal(_TOKEN_EDGES, EDGES)
-        assert np.array_equal(_TOKEN_EDGES * _TOKEN_BINS, np.arange(17))
+        assert np.array_equal(EDGES * _TOKEN_BINS, np.arange(17))
 
 
 class TestPatchGridTokens:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -51,6 +52,7 @@ from oracles import (
 )
 
 CFG32 = CacheConfig(patch_size=8)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def textured(seed, shape=(32, 32)):
@@ -379,6 +381,24 @@ def with_pixel(frame, value, at=(3, 5)):
     return out
 
 
+def exact_scales(*frames):
+    """Every k in -1100 .. 1099 at which 2^k scales each frame exactly."""
+    with np.errstate(all="ignore"):
+        return [k for k in range(-1100, 1100)
+                if all(np.array_equal(np.ldexp(np.ldexp(f, k), -k), f)
+                       for f in frames)]
+
+
+def assert_scale_free(prev, curr, scales, unit):
+    """decide gives ``unit`` with prev scaled by each 2^k of ``scales`` and
+    curr left as it is, scaled by the same 2^k, and scaled by the 2^j of
+    ``scales`` read backwards."""
+    for k, j in zip(scales, scales[::-1]):
+        scaled = np.ldexp(prev, k)
+        for other in (curr, np.ldexp(curr, k), np.ldexp(curr, j)):
+            assert decide(scaled, other, CFG32) == unit, (k, j)
+
+
 class TestChecksFromSpectrum:
     """decide scans each new frame with one min and one max, which give its
     finiteness, its constancy and the power of two that brings it near unit
@@ -412,22 +432,36 @@ class TestChecksFromSpectrum:
         unit = decide(prev, curr, CFG32)
         assert (unit.displacement.di, unit.displacement.dj) == (3, 5)
         assert not unit.flushed and unit.k_final > 0
-        exact = []
+        exact = exact_scales(prev, curr)
+        assert exact == list(range(-1050, 1025))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for k in range(-1100, 1100):
-                with np.errstate(all="ignore"):
-                    pair = np.ldexp(prev, k), np.ldexp(curr, k)
-                    if not np.array_equal(np.ldexp(pair[0], -k), prev):
-                        continue
-                assert decide(*pair, CFG32) == unit, k
-                exact.append(k)
-            assert exact == list(range(-1050, 1025))
+            assert_scale_free(prev, curr, exact, unit)
             # a finite pixel at the top of the range decides too
             for value in (1.7e308, -1.7e308):
                 for pair in ((with_pixel(prev, value), curr),
                              (prev, with_pixel(curr, value))):
                     decide(*pair, CFG32)
+
+    def test_near_constant_decision_does_not_depend_on_scale(
+            self, monkeypatch, tmp_path):
+        # near-constant-64-p8 step 9 of tools/same_outputs.py: a 1.2e-38
+        # level with one pixel a float32 ulp higher, then a 4096 level with
+        # a texture a few ulps deep. Their cross-power bins lie near the
+        # CROSS_POWER_EPS floor, so a spectrum read at the frame's own
+        # scale moved the peak.
+        monkeypatch.syspath_prepend(str(ROOT / "tools"))
+        import same_outputs
+        same_outputs.write_near_constant(tmp_path / "scene.fqc")
+        frames = load_frames(tmp_path / "scene.fqc")
+        prev, curr = frames[8], frames[9]
+        unit = decide(prev, curr, CFG32)
+        assert not unit.flushed
+        scales = list(range(-900, 900, 7))
+        assert set(scales) <= set(exact_scales(prev, curr))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_scale_free(prev, curr, scales, unit)
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_frame_whose_power_overflows_acts_as_if_validated_first(self, scale):
@@ -468,8 +502,8 @@ class TestChecksFromSpectrum:
         frames += [rng.random(shape) * 10.0 ** k for k in (-300, -3, 0, 3, 300)]
         for i, frame in enumerate(frames):
             constant = bool(np.ptp(frame) == 0.0)
-            assert fusion._scanned(frame)[1] == constant, i
-            assert fusion._scanned(frame.T.copy())[1] == constant, i
+            assert fusion._analyse(frame)[1].constant == constant, i
+            assert fusion._analyse(frame.T.copy())[1].constant == constant, i
 
     def test_textured_frames_skip_the_constancy_scan(self, monkeypatch):
         frames = shifted_stream(63, (32, 32), n=3)
@@ -752,6 +786,24 @@ class TestStep:
         )
         with pytest.raises(InvariantError, match="out of bounds for patch 0"):
             step(cache, planted, frame, default_token_fn)
+
+    @pytest.mark.parametrize("size,ages", [(96, None), (32, None),
+                                           (64, (8, 9))])
+    def test_cache_of_another_grid_raises(self, size, ages):
+        # an 8x8 decision on a 12x12 cache once copied tokens from the wrong
+        # slots, and on a 4x4 cache raised a bare IndexError
+        prev = textured(32, (64, 64))
+        curr = np.roll(prev, (8, 16), axis=(0, 1))
+        d = decide(prev, curr, CFG32)
+        assert not d.flushed and d.k_final > 0
+        cache = populate_cache(textured(33, (size, size)), 8, default_token_fn)
+        if ages is not None:
+            cache.ages = np.zeros(ages, dtype=np.int64)
+        n = size // 8
+        with pytest.raises(ValueError, match=re.escape(
+                f"cache grid ({n}, {n}) (ages {cache.ages.shape}) does not "
+                "match decision grid 8x8")):
+            step(cache, d, curr, default_token_fn)
 
     def test_out_of_bounds_check_survives_python_O(self):
         paths = [str(Path(freqcache.__file__).parents[1]), str(Path(__file__).parent)]

@@ -76,6 +76,19 @@ def test_ab_bench_work_directory_that_exists(tmp_path):
     assert list(work.iterdir()) == []
 
 
+def test_export_from_a_subdirectory_holds_the_whole_tree(
+        monkeypatch, tmp_path):
+    if not (ROOT / ".git").exists():
+        pytest.skip("needs the git checkout of this tree")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.chdir(ROOT / "tools")
+    import revisions
+
+    top, (head,) = revisions.resolve("test", ["HEAD"])
+    revisions.export(top, head, tmp_path / "tree")
+    assert (tmp_path / "tree" / "src" / "freqcache" / "__init__.py").is_file()
+
+
 def result_line(**values):
     metrics = {key: {"value": value, "unit": "MB"} for key, value in values.items()}
     return json.dumps({"correct": 1, "failed": 0, "metrics": metrics})
@@ -138,4 +151,5 @@ def test_near_constant_scene_holds_what_it_names(monkeypatch, tmp_path):
     assert 0.0 < np.ptp(deep) <= 3 * np.spacing(np.float32(4096.0))
     # every frame's constant flag, read from its min and max, is the exact one
     for t in range(len(frames)):
-        assert fusion._scanned(frames[t])[1] == (np.ptp(frames[t]) == 0.0)
+        constant = np.ptp(frames[t]) == 0.0
+        assert fusion._analyse(frames[t])[1].constant == constant

@@ -168,7 +168,7 @@ def main(argv=None):
     commits = dict(zip(SIDES, revs))
     trees = {side: args.work / side for side in SIDES}
     for side in SIDES:
-        export(commits[side], trees[side])
+        export(top, commits[side], trees[side])
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
     def pair(seed, parent_first, trace=0):

@@ -42,8 +42,11 @@ def resolve(tool, revs):
     return top, commits
 
 
-def export(rev, dest):
-    """The files of ``rev`` under ``dest``, without ``.git``."""
+def export(top, rev, dest):
+    """The files of ``rev`` under ``dest``, without ``.git``. ``git
+    archive`` runs at ``top``, the repository's top directory that
+    :func:`resolve` returns: run in a subdirectory it packs only that."""
     dest.mkdir(parents=True)
-    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+    data = git("-C", str(top), "archive", "--format=tar", rev)
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")

@@ -185,11 +185,12 @@ def main(argv=None):
     parser.add_argument("--change", required=True)
     args = parser.parse_args(argv)
 
-    revs = dict(zip(SIDES, resolve(TOOL, (args.parent, args.change))[1]))
+    top, commits = resolve(TOOL, (args.parent, args.change))
+    revs = dict(zip(SIDES, commits))
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         work = Path(tmp)
         for side in SIDES:
-            export(revs[side], work / side / "tree")
+            export(top, revs[side], work / side / "tree")
             run_side(work / side / "tree", work / side / "out")
         roots = {side: work / side / "out" for side in SIDES}
         files = {side: outputs(roots[side]) for side in SIDES}
