@@ -8,7 +8,7 @@ alignment, block-DCT edge energy, and an entropy-adaptive reuse budget.
 
 __version__ = "0.1.0"
 
-from .budget import BudgetConfig, EntropyReading, reuse_budget, spectral_entropy
+from .budget import EntropyReading, reuse_budget, spectral_entropy
 from .edge_refresh import cutoff_index, patch_energy, refresh_mask
 from .errors import DegenerateSpectrumError, FrameParseError, InvariantError
 from .frame import PatchGrid, validate_frame
@@ -38,7 +38,6 @@ from .scenes import SCENE_KINDS, Scene, SceneSpec, generate_scene
 
 __all__ = [
     "__version__",
-    "BudgetConfig",
     "CacheConfig",
     "CacheDecision",
     "CostModel",

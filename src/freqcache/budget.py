@@ -12,21 +12,6 @@ _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
-class BudgetConfig:
-    """Bounds of the reuse ratio; entropy is normalized by log(bin count)."""
-
-    alpha_min: float = 0.08
-    alpha_max: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha_min <= self.alpha_max <= 1.0:
-            raise ValueError(
-                f"need 0 <= alpha_min <= alpha_max <= 1, got "
-                f"({self.alpha_min}, {self.alpha_max})"
-            )
-
-
-@dataclass(frozen=True)
 class EntropyReading:
     raw: float         # nats, in [0, ln(bin_count)]
     normalized: float  # raw / ln(bin_count), in [0, 1]
@@ -79,9 +64,10 @@ def spectral_entropy(amplitude, weights=None, *, power=None):
 def reuse_budget(normalized_entropy, cfg, n_tokens):
     """Map normalized entropy to a reuse ratio and a whole-token budget.
 
-    The ratio decays exponentially from alpha_max at zero entropy toward
-    alpha_min, so busier spectra get smaller budgets; the token budget is
-    floor(ratio * n_tokens).
+    The ratio decays exponentially from ``cfg.alpha_max`` at zero entropy
+    toward ``cfg.alpha_min``, the bounds of a
+    :class:`~freqcache.fusion.CacheConfig`, so busier spectra get smaller
+    budgets; the token budget is floor(ratio * n_tokens).
     """
     psi = float(normalized_entropy)
     if not 0.0 <= psi <= 1.0:

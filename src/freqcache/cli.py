@@ -15,12 +15,12 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .bench import bench
-from .budget import BudgetConfig
 from .compare import check_cosine, compare_domains
 from .frame import grid_shape
 from .frameio import export_masks, load_frames, save_rawf32
@@ -28,28 +28,27 @@ from .fusion import CacheConfig, run_sequence
 from .records import read_decisions_jsonl, write_decisions_jsonl, write_metrics_csv
 from .scenes import SCENE_KINDS, SceneSpec, generate_scene
 
+# Each cache setting and the CacheConfig field it sets.
+CACHE_FIELDS = {"patch_size": "patch_size", "tau_mig": "tau_mig",
+                "lambda": "edge_lambda", "alpha_min": "alpha_min",
+                "alpha_max": "alpha_max"}
+
 # Each default is read from where the library states it.
-_CACHE = CacheConfig()
 _COMPARE = compare_domains.__kwdefaults__
 DEFAULTS = {
-    "patch_size": _CACHE.patch_size,
-    "tau_mig": _CACHE.tau_mig,
-    "lambda": _CACHE.edge_lambda,
-    "alpha_min": _CACHE.budget.alpha_min,
-    "alpha_max": _CACHE.budget.alpha_max,
+    **{key: getattr(CacheConfig(), name) for key, name in CACHE_FIELDS.items()},
     "seed": 0,
     "tau_visual": _COMPARE["tau_visual"],
     "tau_naive_freq": _COMPARE["tau_naive_freq"],
 }
 
 # The settings each subcommand reads: its flags, config keys and manifest.
-_CACHE_KEYS = ("patch_size", "tau_mig", "lambda", "alpha_min", "alpha_max")
 READS = {
     "synth": ("patch_size", "seed"),
-    "analyze": _CACHE_KEYS,
+    "analyze": (*CACHE_FIELDS,),
     "masks": (),
-    "compare": _CACHE_KEYS + ("seed", "tau_visual", "tau_naive_freq"),
-    "bench": _CACHE_KEYS + ("seed",),
+    "compare": (*CACHE_FIELDS, "seed", "tau_visual", "tau_naive_freq"),
+    "bench": (*CACHE_FIELDS, "seed"),
 }
 
 
@@ -135,22 +134,23 @@ def resolve_settings(args):
 def build_cache_config(settings):
     """The :class:`CacheConfig` of resolved :class:`Settings`; a value it
     rejects is reported with the config-file line that set it."""
-    with settings.blame("alpha_min", "alpha_max"):
-        budget = BudgetConfig(alpha_min=settings["alpha_min"],
-                              alpha_max=settings["alpha_max"])
-    fields = {"tau_mig": "tau_mig", "edge_lambda": "lambda",
-              "patch_size": "patch_size"}
-    # CacheConfig checks each field alone, so trying one field at a time
-    # finds the setting to blame; its message names the field, so it is
-    # reworded to name the setting.
-    for name, key in fields.items():
-        with settings.blame(key):
+    values = {name: settings[key] for key, name in CACHE_FIELDS.items()}
+    key_of = {name: key for key, name in CACHE_FIELDS.items()}
+    # CacheConfig checks the alpha pair together and every other field
+    # alone, so trying the pair, then each other field in CacheConfig's
+    # order, finds the setting to blame; a message names the field, so it
+    # is reworded to name the setting.
+    pair = ("alpha_min", "alpha_max")
+    for group in (pair, *((f.name,) for f in fields(CacheConfig)
+                          if f.name not in pair)):
+        with settings.blame(*(key_of[name] for name in group)):
             try:
-                CacheConfig(**{name: settings[key]})
+                CacheConfig(**{name: values[name] for name in group})
             except ValueError as exc:
-                raise ValueError(str(exc).replace(name, key, 1)) from None
-    return CacheConfig(budget=budget,
-                       **{name: settings[key] for name, key in fields.items()})
+                name = group[0]
+                raise ValueError(
+                    str(exc).replace(name, key_of[name], 1)) from None
+    return CacheConfig(**values)
 
 
 def _load_input(args, settings):

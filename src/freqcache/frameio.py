@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import struct
-from collections.abc import Sequence
 from functools import partial
 from pathlib import Path
 
@@ -121,13 +120,15 @@ def save_rawf32(path, frames):
         fh.write(stack.tobytes())
 
 
-class FrameSequence(Sequence):
+class FrameSequence:
     """The frames of a file or a directory, read when they are indexed.
 
     ``len`` and ``shape`` (that of frame 0) are known up front. Indexing
     frame t calls ``read(t)``, which reads, converts and checks it then and
     returns a fresh float64 array each time, so a walk over the frames
     holds only the ones its caller keeps. No file stays open between reads.
+    It takes integer indices only, negative ones too; iteration and
+    ``reversed`` go through them. A slice raises TypeError.
     """
 
     def __init__(self, count, shape, read):

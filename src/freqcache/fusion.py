@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .budget import BudgetConfig, EntropyReading, reuse_budget, spectral_entropy
+from .budget import EntropyReading, reuse_budget, spectral_entropy
 from .edge_refresh import patch_energy, refresh_mask
 from .errors import InvariantError
 from .frame import PatchGrid, frame_array, validate_frame
@@ -63,7 +63,8 @@ class CacheConfig:
 
     tau_mig: float = 0.12
     edge_lambda: float = 0.25
-    budget: BudgetConfig = field(default_factory=BudgetConfig)
+    alpha_min: float = 0.08
+    alpha_max: float = 0.5
     patch_size: int = 16
 
     def __post_init__(self):
@@ -72,6 +73,11 @@ class CacheConfig:
         if not math.isfinite(self.edge_lambda):
             raise ValueError(
                 f"edge_lambda must be finite, got {self.edge_lambda}")
+        if not 0.0 <= self.alpha_min <= self.alpha_max <= 1.0:
+            raise ValueError(
+                f"need 0 <= alpha_min <= alpha_max <= 1, got "
+                f"({self.alpha_min}, {self.alpha_max})"
+            )
         if self.patch_size < 2:
             raise ValueError(f"patch_size must be >= 2, got {self.patch_size}")
 
@@ -296,7 +302,7 @@ def decide(prev, curr, cfg, *, step=0):
         t0 = time.perf_counter_ns()
         entropy = spectral_entropy(a_curr.amplitude, weights,
                                    power=a_curr.power)
-        alpha, k_reuse = reuse_budget(entropy.normalized, cfg.budget, n)
+        alpha, k_reuse = reuse_budget(entropy.normalized, cfg, n)
         timings["budget"] = (time.perf_counter_ns() - t0) // 1000
 
     t0 = time.perf_counter_ns()
@@ -396,8 +402,8 @@ def step(cache, decision, curr, token_fn):
     previous cache and their age incremented; everything else is recomputed
     with ``token_fn`` at age 0. Passing ``cache=None`` (cold start) or a
     flushed decision recomputes every slot. A cache of another grid raises
-    ValueError; a reused slot whose source lies outside the grid raises
-    :class:`InvariantError`.
+    ValueError; a reuse index outside the grid, or a reused slot whose
+    source lies outside it, raises :class:`InvariantError`.
     """
     curr = validate_frame(curr)
     rows, cols = decision.rows, decision.cols
@@ -418,6 +424,11 @@ def step(cache, decision, curr, token_fn):
         () if cache is None or decision.flushed else decision.reuse_set,
         dtype=np.int64,
     )
+    wrong = (reuse < 0) | (reuse >= n)
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise InvariantError(
+            f"reuse index {reuse[k]} out of range for {n} patches")
     si = reuse // cols - decision.displacement.di_patches
     sj = reuse % cols - decision.displacement.dj_patches
     outside = (si < 0) | (si >= rows) | (sj < 0) | (sj >= cols)

@@ -438,8 +438,8 @@ def decide_reference(prev, curr, cfg, *, step=0):
         prob = power / total
         raw = float(-np.sum(prob[prob > 0.0] * np.log(prob[prob > 0.0]))) + 0.0
         stage_entropy = EntropyReading(raw, raw / math.log(prob.size), prob.size)
-        stage_alpha = cfg.budget.alpha_min + (
-            cfg.budget.alpha_max - cfg.budget.alpha_min
+        stage_alpha = cfg.alpha_min + (
+            cfg.alpha_max - cfg.alpha_min
         ) * math.exp(-stage_entropy.normalized)
         entropy = stage_entropy
         alpha = stage_alpha

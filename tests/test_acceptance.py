@@ -13,7 +13,6 @@ import scipy.fft
 from scipy.stats import spearmanr
 
 from freqcache import (
-    BudgetConfig,
     CacheConfig,
     DEFAULT_COST_MODEL,
     PatchGrid,
@@ -152,7 +151,7 @@ def test_criterion_5_entropy_budget_behavior():
                         for f in scene.frames]
             rho = spearmanr(range(len(readings)), readings).statistic
             assert rho > 0.9
-        cfg = BudgetConfig()
+        cfg = CacheConfig()
         alphas = [reuse_budget(psi, cfg, 196)[0]
                   for psi in np.linspace(0.0, 1.0, 1000)]
         assert all(a >= b for a, b in zip(alphas, alphas[1:]))
@@ -166,9 +165,7 @@ def test_criterion_6_algorithm_equivalence():
         base_cfg = CacheConfig(patch_size=8)
         flush_cfg = CacheConfig(patch_size=8, tau_mig=1.0)
         empty_cfg = CacheConfig(patch_size=8, edge_lambda=-5.0)
-        capped_cfg = CacheConfig(
-            patch_size=8, budget=BudgetConfig(alpha_min=0.1, alpha_max=0.2)
-        )
+        capped_cfg = CacheConfig(patch_size=8, alpha_min=0.1, alpha_max=0.2)
         flush_seen = empty_seen = capped_seen = tie_seen = 0
         for i in range(1000):
             bucket = i % 5
@@ -249,10 +246,7 @@ def test_criterion_8_cost_model_consistency():
         scene = generate_scene(
             SceneSpec(kind="static", height=112, width=112, length=9, seed=7)
         )
-        cfg = CacheConfig(
-            patch_size=8,
-            budget=BudgetConfig(alpha_min=0.536, alpha_max=0.536),
-        )
+        cfg = CacheConfig(patch_size=8, alpha_min=0.536, alpha_max=0.536)
         report = run_sequence(scene.frames, cfg)
         assert report.n_tokens == 196
         assert report.mean_reuse_ratio == pytest.approx(0.535, abs=0.01)

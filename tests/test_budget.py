@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqcache import (
-    BudgetConfig,
+    CacheConfig,
     DegenerateSpectrumError,
     reuse_budget,
     spectral_entropy,
@@ -72,7 +73,7 @@ class TestSpectralEntropy:
 
 
 class TestReuseBudget:
-    CFG = BudgetConfig(alpha_min=0.08, alpha_max=0.5)
+    CFG = CacheConfig(alpha_min=0.08, alpha_max=0.5)
 
     def test_zero_entropy_gives_alpha_max(self):
         alpha, k = reuse_budget(0.0, self.CFG, 196)
@@ -85,7 +86,7 @@ class TestReuseBudget:
         assert k == 45
 
     def test_degenerate_bounds(self):
-        cfg = BudgetConfig(alpha_min=0.3, alpha_max=0.3)
+        cfg = CacheConfig(alpha_min=0.3, alpha_max=0.3)
         for psi in (0.0, 0.37, 1.0):
             alpha, _ = reuse_budget(psi, cfg, 100)
             assert alpha == pytest.approx(0.3)
@@ -113,7 +114,8 @@ class TestReuseBudget:
             reuse_budget(0.5, self.CFG, 0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BudgetConfig(alpha_min=0.6, alpha_max=0.5)
-        with pytest.raises(ValueError):
-            BudgetConfig(alpha_min=-0.1, alpha_max=0.5)
+        for a, b in [(0.6, 0.5), (-0.1, 0.5), (0.5, 1.5), (0.6, 0.55),
+                     (float("nan"), 0.5)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"need 0 <= alpha_min <= alpha_max <= 1, got ({a}, {b})")):
+                CacheConfig(alpha_min=a, alpha_max=b)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from freqcache import CacheConfig, cli
 from freqcache.cli import (
+    CACHE_FIELDS,
     DEFAULTS,
     READS,
     build_cache_config,
@@ -298,6 +300,31 @@ class TestSettingsTable:
                 assert flags[key].type is type(DEFAULTS[key])
                 assert flags[key].default is None
             assert ("config" in flags) == bool(READS[name]), name
+
+    def test_cache_settings_map_every_cache_config_field(self):
+        # a field added to CacheConfig cannot miss the CLI, and a setting
+        # cannot name a field CacheConfig lacks
+        fields = [f.name for f in dataclasses.fields(CacheConfig)]
+        assert sorted(CACHE_FIELDS.values()) == sorted(fields)
+        defaults = CacheConfig()
+        for key, name in CACHE_FIELDS.items():
+            assert DEFAULTS[key] == getattr(defaults, name), key
+            assert type(DEFAULTS[key]) is type(getattr(defaults, name)), key
+        for name in ("analyze", "compare", "bench"):
+            assert READS[name][:5] == ("patch_size", "tau_mig", "lambda",
+                                       "alpha_min", "alpha_max")
+
+    def test_each_cache_setting_reaches_its_field(self):
+        off = {"patch_size": 8, "tau_mig": 0.3, "lambda": 0.7,
+               "alpha_min": 0.2, "alpha_max": 0.6}
+        assert set(off) == set(CACHE_FIELDS)
+        argv = ["analyze", "--input", "x", "--out-dir", "y"]
+        for key, value in off.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        args = build_parser().parse_args(argv)
+        cfg = build_cache_config(resolve_settings(args))
+        assert cfg == CacheConfig(patch_size=8, tau_mig=0.3, edge_lambda=0.7,
+                                  alpha_min=0.2, alpha_max=0.6)
 
     def test_manifest_settings_follow_the_table(self, tmp_path):
         raw = tmp_path / "scene.fqc"

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from freqcache import BudgetConfig, CacheConfig, DEFAULT_COST_MODEL, run_sequence
+from freqcache import CacheConfig, DEFAULT_COST_MODEL, run_sequence
 from freqcache import PatchGrid
 from freqcache.compare import compare_domains
 from freqcache.scenes import SceneSpec, generate_scene
@@ -42,7 +42,7 @@ def test_static_scene_all_policies_reach_their_caps():
         SceneSpec(kind="static", height=64, width=64, length=6, seed=2)
     )
     cfg = CacheConfig(patch_size=8, edge_lambda=1e15,
-                      budget=BudgetConfig(alpha_min=0.4, alpha_max=0.4))
+                      alpha_min=0.4, alpha_max=0.4)
     report = compare_domains(scene.frames, cfg)
     policies = report["policies"]
     n = report["n_tokens"]

@@ -169,6 +169,21 @@ class TestFrameSequence:
         with pytest.raises(IndexError):
             frames[5]
 
+    def test_integer_indices_iteration_and_reversed(self, tmp_path):
+        path = write_raw(tmp_path / "i.fqc", random_float32(9, (4, 8, 8)))
+        frames = load_frames(path)
+        eager = load_rawf32_eager(path)
+        assert len(frames) == 4
+        assert all(same_bits(frames[-t], eager[4 - t]) for t in range(1, 5))
+        forward, backward = list(frames), list(reversed(frames))
+        assert len(forward) == len(backward) == 4
+        assert all(map(same_bits, forward, eager))
+        assert all(map(same_bits, backward, eager[::-1]))
+        with pytest.raises(IndexError):
+            frames[-5]
+        with pytest.raises(TypeError, match="slice"):
+            frames[1:]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frame_raises_when_it_is_read(self, tmp_path, bad):
         stack = np.random.default_rng(7).random((4, 6, 6))

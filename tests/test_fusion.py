@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import freqcache
 from freqcache import (
-    BudgetConfig,
     CacheConfig,
     CostModel,
     DEFAULT_COST_MODEL,
@@ -112,7 +111,7 @@ class TestDecide:
 
     def test_budget_cap_respected(self):
         cfg = CacheConfig(patch_size=8,
-                          budget=BudgetConfig(alpha_min=0.1, alpha_max=0.1))
+                          alpha_min=0.1, alpha_max=0.1)
         frame = textured(3)
         d = decide(frame, frame, cfg)
         assert d.k_reuse == int(0.1 * 16)
@@ -735,7 +734,7 @@ class TestStep:
         cache = populate_cache(prev, 8, default_token_fn)
         cache.tokens += rng.random(cache.tokens.shape)  # make slots distinct
         d = decide(prev, curr, CacheConfig(
-            patch_size=8, budget=BudgetConfig(alpha_min=1.0, alpha_max=1.0),
+            patch_size=8, alpha_min=1.0, alpha_max=1.0,
             edge_lambda=1e12,
         ))
         assert d.displacement.di_patches == 1
@@ -763,7 +762,7 @@ class TestStep:
         cache.tokens += np.random.default_rng(27).random(cache.tokens.shape)
         cache.ages += np.arange(16).reshape(4, 4)
         d = decide(frame, frame, CacheConfig(
-            patch_size=8, budget=BudgetConfig(alpha_min=1.0, alpha_max=1.0),
+            patch_size=8, alpha_min=1.0, alpha_max=1.0,
             edge_lambda=1e15,
         ))
         assert d.k_final == 16
@@ -786,6 +785,22 @@ class TestStep:
         )
         with pytest.raises(InvariantError, match="out of bounds for patch 0"):
             step(cache, planted, frame, default_token_fn)
+
+    @pytest.mark.parametrize("index,patches", [(-1, (-1, 1)), (16, (1, 0))])
+    def test_reuse_index_out_of_range_raises(self, index, patches):
+        # -1 once reused slot (3, 3) from slot (0, 2), though its mapped
+        # source (4, 2) lies outside the grid; 16 reached NumPy's IndexError
+        prev = np.random.default_rng(0).random((32, 32))
+        curr = np.roll(prev, (-8, 8), axis=(0, 1))
+        cache = populate_cache(prev, 8, default_token_fn)
+        d = decide(prev, curr, CFG32)
+        planted = dataclasses.replace(
+            d, displacement=Displacement(8 * patches[0], 8 * patches[1],
+                                         *patches),
+            reuse_set=(index,), recompute_set=tuple(range(15)), k_final=1)
+        with pytest.raises(InvariantError, match=re.escape(
+                f"reuse index {index} out of range for 16 patches")):
+            step(cache, planted, curr, default_token_fn)
 
     @pytest.mark.parametrize("size,ages", [(96, None), (32, None),
                                            (64, (8, 9))])
@@ -900,7 +915,7 @@ class TestRunSequence:
         frames = [textured(23, (64, 64))] * 6
         cfg = CacheConfig(
             patch_size=8, edge_lambda=1e15,
-            budget=BudgetConfig(alpha_min=0.4, alpha_max=0.4),
+            alpha_min=0.4, alpha_max=0.4,
         )
         report = run_sequence(frames, cfg)
         expected = int(0.4 * 64) / 64

@@ -7,7 +7,10 @@ Exports each revision with ``git archive`` into a temporary directory and
 runs its CLI (``python -m freqcache`` with that revision's ``src`` first on
 ``PYTHONPATH``) on each scene of ``SCENES``: the criterion-7 chain
 ``synth``, ``analyze``, ``masks``, then ``compare`` from the scene flags and
-from ``--input``. The flat-patch and near-constant scenes are no
+from ``--input``, and one more ``analyze`` that sets ``tau_mig``,
+``lambda``, ``alpha_min`` and ``alpha_max`` off their defaults, two
+through a ``--config`` file and two through flags (see ``TUNED``). The
+flat-patch and near-constant scenes are no
 synthetic kind: their rawf32 inputs are written by
 :func:`write_flat_patches` and :func:`write_near_constant`, and they run
 ``analyze``, ``masks`` and ``compare --input``. Every command runs in
@@ -53,6 +56,11 @@ SCENES = {
     "flat-patches-64-p8": (None, 8),
     "near-constant-64-p8": (None, 8),
 }
+CRITERION_7 = next(iter(SCENES))
+# The criterion-7 scene's off-default analyze run: its config file's text,
+# then its flags.
+TUNED = ("tau-mig = 0.2\nalpha_min = 0.15\n",
+         ["--lambda", "0.4", "--alpha-max", "0.45"])
 
 
 def write_rawf32(path, size, frames):
@@ -132,9 +140,10 @@ WRITERS = {"flat-patches-64-p8": write_flat_patches,
            "near-constant-64-p8": write_near_constant}
 
 
-def commands(scene, patch_size):
+def commands(scene, patch_size, tuned=False):
     """``(name, argv)`` of each CLI run on one scene, in order; a scene
-    without flags reads a ``scene.fqc`` that is already written."""
+    without flags reads a ``scene.fqc`` that is already written. ``tuned``
+    adds the off-default analyze run, which reads a written ``tuned.cfg``."""
     p = ["--patch-size", str(patch_size)]
     analyze_masks = [
         ("analyze", ["analyze", "--input", "scene.fqc", *p,
@@ -146,11 +155,16 @@ def commands(scene, patch_size):
                                        "--out-dir", "compare-input"])
     if scene is None:
         return [*analyze_masks, compare_input]
-    return [("synth", ["synth", *scene, *p, "--out", "scene.fqc"]),
+    runs = [("synth", ["synth", *scene, *p, "--out", "scene.fqc"]),
             *analyze_masks,
             ("compare-scene", ["compare", *scene, *p, "--out-dir",
                                "compare-scene"]),
             compare_input]
+    if tuned:
+        runs.append(("analyze-tuned", ["analyze", "--input", "scene.fqc", *p,
+                                       "--config", "tuned.cfg", *TUNED[1],
+                                       "--out-dir", "analysis-tuned"]))
+    return runs
 
 
 def run_side(tree, out):
@@ -162,7 +176,11 @@ def run_side(tree, out):
         (cwd / "stdout").mkdir(parents=True)
         if scene is None:
             WRITERS[name](cwd / "scene.fqc", patch_size=patch_size)
-        for i, (label, argv) in enumerate(commands(scene, patch_size)):
+        tuned = name == CRITERION_7
+        if tuned:
+            (cwd / "tuned.cfg").write_text(TUNED[0])
+        for i, (label, argv) in enumerate(commands(scene, patch_size,
+                                                   tuned)):
             proc = subprocess.run([sys.executable, "-m", "freqcache", *argv],
                                   cwd=cwd, env=env, stdin=subprocess.DEVNULL,
                                   capture_output=True)
