@@ -11,6 +11,7 @@ outputs, and wall-clock time. A rejected setting or input exits with status
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -309,7 +310,11 @@ def cmd_bench(args, settings, t0):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``freqcache`` parser, built on the first call and returned again
+    by every later one in the process: parsing leaves it unchanged, so
+    :func:`main` pays for its several dozen arguments once."""
     parser = argparse.ArgumentParser(
         prog="freqcache",
         description="Frequency-guided token-reuse decisions for frame sequences",

@@ -167,9 +167,7 @@ def _read_rawf32(path, count, shape, t):
                 offset=os.fstat(fh.fileno()).st_size,
             )
     stage = raw.view("<f4").reshape(shape)
-    # A float64 sum of finite float32 values cannot overflow, so it is
-    # finite iff every value is.
-    if not math.isfinite(stage.sum(dtype=np.float64)):
+    if not np.isfinite(stage).all():
         raise FrameParseError(f"{path}: frame {t} contains non-finite values")
     return stage.astype(np.float64)
 

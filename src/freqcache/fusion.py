@@ -230,7 +230,7 @@ def _carried(frame):
     bits = _last.bits
     if (bits is not None and isinstance(frame, np.ndarray)
             and frame.dtype == bits.dtype and frame.shape == bits.shape
-            and np.array_equal(bits.view(np.uint64), frame.view(np.uint64))):
+            and (bits.view(np.uint64) == frame.view(np.uint64)).all()):
         return _last.analysis
     return None
 
@@ -313,13 +313,13 @@ def decide(prev, curr, cfg, *, step=0):
     # Synchronization point: all three analyses have completed.
     t0 = time.perf_counter_ns()
     flushed = diagnostic is not None or sim < cfg.tau_mig
-    candidates = () if flushed else np.flatnonzero(align & ~fresh)
+    candidates = () if flushed else (align & ~fresh).ravel().nonzero()[0]
     k_candidate = len(candidates)
     k_final = min(k_reuse, k_candidate)
     reuse = topk_ascending(candidates, energies, k_final)
     keep = np.ones(n, dtype=bool)
     keep[reuse] = False
-    recompute = np.flatnonzero(keep)
+    recompute = keep.nonzero()[0]
     timings["select"] = (time.perf_counter_ns() - t0) // 1000
 
     decision = CacheDecision(
@@ -336,7 +336,7 @@ def decide(prev, curr, cfg, *, step=0):
         recompute_set=tuple(recompute.tolist()),
         rows=grid.rows,
         cols=grid.cols,
-        refresh_set=tuple(np.flatnonzero(fresh).tolist()),
+        refresh_set=tuple(fresh.ravel().nonzero()[0].tolist()),
         diagnostic=diagnostic,
         timings_us=timings,
     )

@@ -145,14 +145,21 @@ def _impulse_displacement(response):
 
     An impulse at bin p corresponds to displacement (-p) mod dim; the result
     is wraparound-canonicalized. Exact ties at the peak value prefer the
-    smallest |di| + |dj|, then the peak's row-major position.
+    smallest |di| + |dj|, then the peak's row-major position. A response
+    holding NaN has no peak and gives (0, 0).
     """
     h, w = response.shape
-    peak_value = response.max()
+    flat_response = response.ravel()
+    # argmax returns the first bin of the peak value (or the first NaN), so
+    # only the bins after it can tie with it.
+    first = int(flat_response.argmax())
+    peak_value = flat_response[first]
+    if peak_value != peak_value:
+        return (0, 0)
     best_key = None
     best = (0, 0)
-    # flatnonzero on the raveled mask is several times faster than argwhere
-    for flat in np.flatnonzero(response == peak_value).tolist():
+    ties = (flat_response[first + 1:] == peak_value).nonzero()[0] + (first + 1)
+    for flat in (first, *ties.tolist()):
         pi, pj = divmod(flat, w)
         di = _canonical(-pi % h, h)
         dj = _canonical(-pj % w, w)

@@ -16,23 +16,31 @@ _SCRATCH_ALIGN = 16
 
 class _Scratch(threading.local):
     region = None
+    # The views handed out for each (shape, dtypes) request since the region
+    # was last replaced.
+    views = None
 
 
 _scratch = _Scratch()
 
 
 def scratch(shape, *dtypes):
-    """One array of ``shape`` per dtype, laid end to end in this thread's
-    scratch region.
+    """One array of ``shape`` (a tuple) per dtype, laid end to end in this
+    thread's scratch region.
 
     The region is a ``uint8`` buffer that grows to the largest request made
     on the thread and is never released, so a stream of equal-shape frames
-    faults its pages in once instead of on every call. The arrays hold
-    whatever the last request left, and every request hands out the same
-    bytes again. So a caller writes them before reading them, lets no view
-    of them outlive the call, and calls nothing that requests scratch while
-    it holds them.
+    faults its pages in once instead of on every call. A request repeated
+    before the region grows gets the same views back, as a tuple. The
+    arrays hold whatever the last request left, and every request hands
+    out the same bytes again. So a caller writes them before reading them,
+    lets no view of them outlive the call, and calls nothing that requests
+    scratch while it holds them.
     """
+    key = (shape, dtypes)
+    views = _scratch.views
+    if views is not None and key in views:
+        return views[key]
     count = math.prod(shape)
     starts, end = [], 0
     for dtype in dtypes:
@@ -41,9 +49,11 @@ def scratch(shape, *dtypes):
     region = _scratch.region
     if region is None or region.size < end:
         region = _scratch.region = np.empty(end, np.uint8)
-    return [region[start:start + count * np.dtype(dtype).itemsize]
-            .view(dtype).reshape(shape)
-            for start, dtype in zip(starts, dtypes)]
+        views = _scratch.views = {}
+    views[key] = tuple(region[start:start + count * np.dtype(dtype).itemsize]
+                       .view(dtype).reshape(shape)
+                       for start, dtype in zip(starts, dtypes))
+    return views[key]
 
 
 @functools.cache

@@ -19,11 +19,13 @@ with it bit for bit. ``patch_energy_scanned`` likewise restates
 clip, scale, truncate and ``minimum`` passes and NumPy's ``mean`` and
 ``var``, and ``decide_validating_first`` runs ``decide`` after scanning both
 frames for finiteness up front, as it once did itself.
-``load_rawf32_eager`` restates the rawf32 loader that read the whole file
-at once, for the lazy sequence to match frame by frame, and
-``CountingFrames`` wraps frames in that sequence's interface to count how
-often each is read. ``count_frame_scans`` counts the whole-frame
-``np.isfinite``, ``np.ptp``, ``np.min`` and ``np.max`` scans a run makes.
+``impulse_displacement_scanned`` restates the correlation peak search that
+scanned the whole response for ties. ``load_rawf32_eager`` restates the
+rawf32 loader that read the whole file at once, for the lazy sequence to
+match frame by frame, and ``CountingFrames`` wraps frames in that
+sequence's interface to count how often each is read.
+``count_frame_scans`` counts the whole-frame ``np.isfinite``, ``np.ptp``,
+``np.min`` and ``np.max`` scans a run makes.
 """
 
 import math
@@ -43,6 +45,7 @@ from freqcache.fusion import CacheDecision, _check_decision, decide
 from freqcache.migration import (
     CROSS_POWER_EPS,
     Displacement,
+    _canonical,
     _impulse_displacement,
     phase_correlation_spectra,
 )
@@ -239,6 +242,26 @@ def phase_correlation_full_spectrum(spec_prev, spec_curr, patch_size=1):
     response = scipy.fft.ifft2(cross).real
     di, dj = _impulse_displacement(response)
     return Displacement.from_pixels(di, dj, patch_size)
+
+
+def impulse_displacement_scanned(response):
+    """``migration._impulse_displacement`` as it was before it took one
+    ``argmax``: the peak from ``max``, every bin equal to it from a full
+    ``==`` scan, and the tie rule over all of them."""
+    h, w = response.shape
+    peak_value = response.max()
+    best_key = None
+    best = (0, 0)
+    # flatnonzero on the raveled mask is several times faster than argwhere
+    for flat in np.flatnonzero(response == peak_value).tolist():
+        pi, pj = divmod(flat, w)
+        di = _canonical(-pi % h, h)
+        dj = _canonical(-pj % w, w)
+        key = (abs(di) + abs(dj), pi, pj)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (di, dj)
+    return best
 
 
 def phase_correlation_of(prev, curr, patch_size=1):

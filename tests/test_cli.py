@@ -441,6 +441,82 @@ def in_thread(fn, *args):
     return out["value"]
 
 
+# Commands run one after another in one process: ``analyze`` with and
+# without ``--timings``, ``synth``, ``masks``, a flag ``analyze`` does not
+# read (exit 2), then ``analyze`` again.
+SESSION = [
+    ("synth", "--kind", "translate", "--height", 32, "--width", 32,
+     "--length", 4, "--seed", 2, "--patch-size", 8, "--out", "s.fqc"),
+    ("analyze", "--input", "s.fqc", "--out-dir", "timed", "--patch-size", 8,
+     "--timings"),
+    ("analyze", "--input", "s.fqc", "--out-dir", "plain", "--patch-size", 8),
+    ("synth", "--kind", "static", "--height", 32, "--width", 32,
+     "--length", 3, "--out", "t.fqc"),
+    ("masks", "--decisions", "plain/decisions.jsonl", "--out-dir", "m"),
+    ("analyze", "--input", "s.fqc", "--out-dir", "x", "--seed", 1),
+    ("analyze", "--input", "t.fqc", "--out-dir", "again", "--lambda", 0.5),
+]
+
+
+def run_session(cwd, monkeypatch, fresh_parser):
+    """Each command of ``SESSION`` through :func:`main` in ``cwd``, with a
+    parser built anew for each if ``fresh_parser``; the exit status, stdout
+    and stderr of each."""
+    monkeypatch.chdir(cwd)
+    build_parser.cache_clear()
+    streams = []
+    for argv in SESSION:
+        if fresh_parser:
+            build_parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run_cli(*argv)
+            except SystemExit as exc:
+                code = exc.code
+        streams.append((code, out.getvalue(), err.getvalue()))
+    return streams
+
+
+def output_files(top):
+    """Every file under ``top`` but the manifests, which hold wall-clock
+    times, by relative path; ``decisions.jsonl`` with ``timings_us`` as
+    its records' keys only."""
+    files = {}
+    for path in sorted(top.rglob("*")):
+        if path.is_file() and not path.name.endswith("manifest.json"):
+            files[str(path.relative_to(top))] = path.read_bytes()
+    files["timed/decisions.jsonl"] = [
+        {**rec, "timings_us": sorted(rec["timings_us"])}
+        for rec in read_decisions_jsonl(top / "timed" / "decisions.jsonl")]
+    return files
+
+
+class TestOneParserPerProcess:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        run_session(tmp_path, monkeypatch, fresh_parser=False)
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_gives_what_fresh_ones_give(self, tmp_path,
+                                                      monkeypatch):
+        runs = {}
+        for fresh in (False, True):
+            cwd = tmp_path / str(fresh)
+            cwd.mkdir()
+            runs[fresh] = (run_session(cwd, monkeypatch, fresh),
+                           output_files(cwd))
+        assert runs[False] == runs[True]
+        streams, files = runs[False]
+        assert [code for code, _, _ in streams] == [0, 0, 0, 0, 0, 2, 0]
+        assert "unrecognized arguments: --seed 1" in streams[5][2]
+        # --timings reaches only the run that gives it
+        assert b"timings_us" not in files["plain/decisions.jsonl"]
+        assert b"timings_us" not in files["again/decisions.jsonl"]
+        assert "x/decisions.jsonl" not in files
+        assert len(files["timed/decisions.jsonl"]) == 3
+
+
 class TestEndToEnd:
     def test_synth_analyze_masks_compare(self, tmp_path):
         raw = tmp_path / "scene.fqc"

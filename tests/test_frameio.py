@@ -196,6 +196,29 @@ class TestFrameSequence:
                 f"{path}: frame 2 contains non-finite values")):
             frames[2]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_non_finite_first_or_last_value_raises(self, tmp_path, bad,
+                                                   where):
+        stack = np.random.default_rng(11).random((3, 5, 7))
+        stack[1].ravel()[where] = bad
+        path = write_raw(tmp_path / "e.fqc", stack)
+        frames = load_frames(path)
+        with pytest.raises(FrameParseError) as err:
+            frames[1]
+        assert str(err.value) == f"{path}: frame 1 contains non-finite values"
+        assert same_bits(frames[2], load_rawf32_eager(path)[2])
+
+    def test_frames_of_the_largest_float32_values_load(self, tmp_path):
+        # values whose float64 sum is far outside the float32 range
+        stack = np.full((2, 6, 6), F32.max, dtype=np.float32)
+        stack[1] = -F32.max
+        stack[1, 0, 0] = F32.max
+        path = write_raw(tmp_path / "m.fqc", stack)
+        frames = load_frames(path)
+        assert all(map(same_bits, frames, load_rawf32_eager(path)))
+        assert frames[0].max() == frames[0].min() == float(F32.max)
+
     def test_file_truncated_after_loading_raises(self, tmp_path):
         path = tmp_path / "t.fqc"
         save_rawf32(path, np.random.default_rng(8).random((3, 4, 4)))

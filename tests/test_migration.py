@@ -14,9 +14,12 @@ from freqcache import (
     phase_correlation_spectra,
     sim_freq,
 )
+from freqcache import migration
+from freqcache.migration import _impulse_displacement
 
 from oracles import (
     brute_force_displacement,
+    impulse_displacement_scanned,
     phase_correlation_full_spectrum,
     phase_correlation_of,
     sim_spatial,
@@ -54,6 +57,22 @@ def static_edge_shot(rng, size, p, length):
         frame[i * p:(i + 1) * p, j * p:(j + 1) * p] = edge
         frames.append(frame)
     return [f.astype(np.float32).astype(np.float64) for f in frames]
+
+
+def tied_energy_pairs():
+    """Criterion 6's tie bucket: 32² frame pairs of duplicated low-energy
+    8² patches inside an aperiodic frame, ``curr`` a cyclic shift of
+    ``prev`` by up to 4 pixels on each axis."""
+    rng = np.random.default_rng(600)
+    for _ in range(200):
+        curr = rng.random((32, 32))
+        dup = np.full((8, 8), 0.5)
+        dup[0, 0] = 0.52
+        blocks = curr.reshape(4, 8, 4, 8).swapaxes(1, 2)
+        for bi, bj in ((0, 1), (1, 2), (2, 0), (3, 3)):
+            blocks[bi, bj] = dup
+        shift = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
+        yield np.roll(curr, (-shift[0], -shift[1]), axis=(0, 1)), curr
 
 
 class TestSimSpatial:
@@ -151,18 +170,7 @@ class TestPhaseCorrelation:
             self._assert_matches_oracle(prev, curr, 1)
 
     def test_half_spectrum_matches_oracle_on_tied_energy_frames(self):
-        # criterion 6's tie bucket: duplicated low-energy patches inside an
-        # aperiodic frame
-        rng = np.random.default_rng(600)
-        for _ in range(200):
-            curr = rng.random((32, 32))
-            dup = np.full((8, 8), 0.5)
-            dup[0, 0] = 0.52
-            blocks = curr.reshape(4, 8, 4, 8).swapaxes(1, 2)
-            for bi, bj in ((0, 1), (1, 2), (2, 0), (3, 3)):
-                blocks[bi, bj] = dup
-            shift = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
-            prev = np.roll(curr, (-shift[0], -shift[1]), axis=(0, 1))
+        for prev, curr in tied_energy_pairs():
             self._assert_matches_oracle(prev, curr, 8)
 
     def test_half_spectrum_matches_oracle_on_static_edge_frames(self):
@@ -211,6 +219,69 @@ class TestPhaseCorrelation:
         disp = phase_correlation_of(frame, curr, patch_size=8)
         # 12/8 = 1.5 rounds toward zero; -4/8 = -0.5 rounds toward zero
         assert (disp.di_patches, disp.dj_patches) == (1, 0)
+
+
+class TestImpulsePeak:
+    """The one-``argmax`` peak search gives what the full ``==`` scan of
+    the peak value gave (``impulse_displacement_scanned``)."""
+
+    @staticmethod
+    def assert_matches_scan(response):
+        assert _impulse_displacement(response) == \
+            impulse_displacement_scanned(response)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 6), (32, 17)])
+    def test_ties_before_at_and_after_the_first_maximum(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        n = shape[0] * shape[1]
+        for _ in range(200):
+            response = rng.random(shape, dtype=np.float32)
+            flat = response.ravel()
+            first = int(rng.integers(1, n - 1))
+            flat[first] = 2.0
+            # Ties before the first maximum move it, ties after it do not;
+            # either side may hold the one the tie rule prefers.
+            before = rng.choice(first, size=min(first, int(rng.integers(3))),
+                                replace=False)
+            rest = n - first - 1
+            after = first + 1 + rng.choice(
+                rest, size=min(rest, int(rng.integers(3))), replace=False)
+            flat[before] = 2.0
+            flat[after] = 2.0
+            self.assert_matches_scan(response)
+
+    def test_ties_of_both_signed_zeros(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            response = -rng.random((12, 10))
+            flat = response.ravel()
+            zeros = rng.choice(flat.size, size=4, replace=False)
+            flat[zeros] = [0.0, -0.0, -0.0, 0.0][:len(zeros)]
+            self.assert_matches_scan(response)
+            rng.shuffle(flat)
+            self.assert_matches_scan(response)
+
+    @pytest.mark.parametrize("where", [0, 13, -1])
+    def test_nan_response_gives_no_shift(self, where):
+        response = np.random.default_rng(6).random((8, 8))
+        response.ravel()[where] = np.nan
+        response.ravel()[40] = 5.0
+        assert _impulse_displacement(response) == (0, 0)
+        self.assert_matches_scan(response)
+
+    def test_tie_frames_of_criterion_6(self, monkeypatch):
+        # every response the correlation reads on the tie frames
+        seen = []
+
+        def checked(response):
+            seen.append(response.shape)
+            self.assert_matches_scan(response)
+            return _impulse_displacement(response)
+
+        monkeypatch.setattr(migration, "_impulse_displacement", checked)
+        for prev, curr in tied_energy_pairs():
+            phase_correlation_of(prev, curr, 8)
+        assert len(seen) == 200
 
 
 class TestDisplacementQuantization:

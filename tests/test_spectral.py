@@ -2,7 +2,9 @@
 half spectrum of a frame (``fusion._half_spectrum``, inverted with
 ``irfft2`` as ``phase_correlation_spectra`` does) and the rows of the
 orthonormal DCT-II matrix (``edge_refresh._dct_rows``) that ``patch_energy``
-projects every patch onto."""
+projects every patch onto; and the scratch region their temporaries use."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,14 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqcache import CacheConfig, PatchGrid, cutoff_index, decide, patch_energy
+from freqcache import (
+    CacheConfig,
+    PatchGrid,
+    cutoff_index,
+    decide,
+    patch_energy,
+    spectral,
+)
 from freqcache.edge_refresh import _dct_rows
 from freqcache.fusion import _half_spectrum
 
@@ -148,3 +157,47 @@ def test_dct_oracle_equivalence_property(seed, n):
     patch = np.random.default_rng(seed).standard_normal((n, n))
     energy = patch_energy(PatchGrid(patch, n))[0, 0]
     assert abs(energy - naive_patch_energy(patch, cutoff_index(n))) < 1e-9
+
+
+def test_scratch_views_are_reused_until_the_region_grows():
+    def requests():
+        pair = spectral.scratch((4, 6), np.float64, np.complex64)
+        assert [(v.shape, v.dtype) for v in pair] == [
+            ((4, 6), np.float64), ((4, 6), np.complex64)]
+        # laid end to end, the second at the first's 192 bytes, which are a
+        # multiple of 16
+        region = spectral._scratch.region
+        assert [v.__array_interface__["data"][0]
+                - region.__array_interface__["data"][0] for v in pair] == [0, 192]
+        again = spectral.scratch((4, 6), np.float64, np.complex64)
+        assert again is pair
+        # another request hands out the same bytes
+        other, = spectral.scratch((3, 5), np.float32)
+        assert np.shares_memory(other, pair[0])
+        assert spectral._scratch.region is region
+
+        grown, = spectral.scratch((64, 64), np.float64)
+        assert spectral._scratch.region is not region
+        after = spectral.scratch((4, 6), np.float64, np.complex64)
+        assert after is not pair
+        for view in (*after, grown):
+            assert np.shares_memory(view, spectral._scratch.region)
+            assert not np.shares_memory(view, region)
+        assert np.shares_memory(after[0], grown)
+        assert spectral.scratch((3, 5), np.float32)[0] is not other
+
+    # on a fresh thread, which starts with no region of its own
+    errors = []
+
+    def target():
+        try:
+            requests()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    if errors:
+        raise errors[0]

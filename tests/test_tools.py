@@ -153,3 +153,57 @@ def test_near_constant_scene_holds_what_it_names(monkeypatch, tmp_path):
     for t in range(len(frames)):
         constant = np.ptp(frames[t]) == 0.0
         assert fusion._analyse(frames[t])[1].constant == constant
+
+
+def synthetic_runs(metric, parent, change):
+    """An ``ab_bench`` runs dict of one workload ``w`` whose ``metric``
+    reads ``parent[i]`` and ``change[i]`` on pair i."""
+    def side(values):
+        return [{"result": {"failed": 0,
+                            "metrics": {f"w/{metric}": {"value": v}}},
+                 "sha256": {"w": "same"}} for v in values]
+
+    return {"parent": side(parent), "change": side(change)}
+
+
+PARENT_FPS = [600.0 + 3.0 * k for k in range(10)]  # quartiles 605.25, 621.75
+
+
+@pytest.mark.parametrize("metric,better,bound,change,gain,within", [
+    # ten wins by more than the parent's IQR of 16.5
+    ("analyze_fps", "higher", 0.25, [v + 20.0 for v in PARENT_FPS],
+     True, True),
+    # nine wins and one loss still meet the rule
+    ("analyze_fps", "higher", 0.25,
+     [v + 20.0 for v in PARENT_FPS[:9]] + [PARENT_FPS[9] - 1.0], True, True),
+    # eight wins and two ties do not
+    ("analyze_fps", "higher", 0.25,
+     [v + 20.0 for v in PARENT_FPS[:8]] + PARENT_FPS[8:], False, True),
+    # ten wins by less than the IQR
+    ("analyze_fps", "higher", 0.25, [v + 5.0 for v in PARENT_FPS],
+     False, True),
+    # 20% fewer frames per second is inside a 0.25 bound
+    ("analyze_fps", "higher", 0.25, [v * 0.8 for v in PARENT_FPS],
+     False, True),
+    # and 30% fewer is not
+    ("analyze_fps", "higher", 0.25, [v * 0.7 for v in PARENT_FPS],
+     False, False),
+    # a time 10% higher is inside a 0.15 bound, 20% higher is not
+    ("decide_ms_p50", "lower", 0.15, [v * 1.1 for v in PARENT_FPS],
+     False, True),
+    ("decide_ms_p50", "lower", 0.15, [v * 1.2 for v in PARENT_FPS],
+     False, False),
+    # a lower time wins
+    ("decide_ms_p50", "lower", 0.15, [v - 20.0 for v in PARENT_FPS],
+     True, True),
+])
+def test_ab_bench_states_the_verdicts(ab_bench, metric, better, bound,
+                                      change, gain, within):
+    runs = synthetic_runs(metric, PARENT_FPS, change)
+    summary = ab_bench.summarise(
+        runs, [{"name": metric, "better": better, "bound": bound}])
+    stats = summary["w"][metric]
+    assert stats["parent_iqr"] == 16.5
+    assert stats["pairs"] == 10
+    assert stats["gain_rule_met"] is gain
+    assert stats["within_bound"] is within

@@ -12,7 +12,11 @@ run with ``--trace 1`` on seeds 1 to 3, alternating the same way. Writes
 ``BENCH_<N>.json`` at the top of the repository with every result line,
 the decisions SHA-256 of each workload and run, the machine facts, per
 workload and end-to-end metric of ``BENCHMARK.json`` the medians, the
-parent's quartiles and the pairs each side won, and under ``per_layer``,
+parent's quartiles, the pairs each side won and two verdicts
+(``gain_rule_met``: the change won at least 9 of 10 pairs and its median
+beats the parent's by more than the parent's IQR; ``within_bound``: its
+median is worse than the parent's by no more than the metric's bound, a
+share of the parent's median), and under ``per_layer``,
 per workload and per-layer metric, the medians of the traced runs and
 the pairs each side won. A result line, traced or not, that is not strict
 JSON or holds a metric that is not a finite number stops the tool with
@@ -45,6 +49,8 @@ SIDES = ("parent", "change")
 PAIRS = 10
 # perfbench's README keeps seeds 1-10 for tuning; any other is held out.
 HELD_OUT_SEED = 1000
+# The least share of the pairs run that a change must win to claim a gain.
+GAIN_SHARE = 0.9
 # Traced pairs, on seeds 1 to TRACED_PAIRS, for the per-layer metrics.
 TRACED_PAIRS = 3
 COMMAND = "python3 perfbench/run.py --workload all --seed N"
@@ -105,9 +111,9 @@ def quartiles(values):
 
 
 def versus(runs, key, better):
-    """Each side's values of metric ``key``, then their medians and the
-    pairs each side won. A run that left the metric empty counts in no
-    median and no pair."""
+    """Each side's values of metric ``key``, then their medians, the pairs
+    with both values and the pairs each side won. A run that left the
+    metric empty counts in no median and no pair."""
     values = {side: [r["result"]["metrics"][key]["value"] for r in runs[side]]
               for side in SIDES}
     sign = -1.0 if better == "lower" else 1.0
@@ -116,25 +122,50 @@ def versus(runs, key, better):
     present = {side: [v for v in values[side] if v is not None] for side in SIDES}
     medians = {f"{side}_median": round(statistics.median(present[side]), 6)
                if present[side] else None for side in SIDES}
-    return present, medians | {"change_wins": sum(g > 0 for g in gaps),
+    return present, medians | {"pairs": len(gaps),
+                               "change_wins": sum(g > 0 for g in gaps),
                                "change_losses": sum(g < 0 for g in gaps)}
 
 
+def verdicts(stats, better, bound):
+    """Whether ``stats`` of one metric (from :func:`versus`, with the
+    parent's IQR) meet the gain rule, and whether the change stays within
+    ``bound``, a share of the parent's median; None for a side with no
+    median.
+
+    The gain rule: the change won at least ``GAIN_SHARE`` of the pairs run
+    (a tie counts for neither side) and its median beats the parent's by
+    more than the parent's IQR.
+    """
+    parent, change = stats["parent_median"], stats["change_median"]
+    if parent is None or change is None:
+        return {"gain_rule_met": None, "within_bound": None}
+    gain = (change - parent) * (-1.0 if better == "lower" else 1.0)
+    return {
+        "gain_rule_met": (stats["pairs"] > 0
+                          and stats["change_wins"] >= GAIN_SHARE * stats["pairs"]
+                          and gain > stats["parent_iqr"]),
+        "within_bound": -gain <= bound * abs(parent),
+    }
+
+
 def summarise(runs, metrics):
-    """Per workload: medians, the parent's quartiles and IQR and the pairs
-    each side won for every end-to-end metric, then SHA-256 agreement and
-    failed frames."""
+    """Per workload: medians, the parent's quartiles and IQR, the pairs
+    each side won and the two :func:`verdicts` for every end-to-end metric,
+    then SHA-256 agreement and failed frames."""
     summary = {}
     for name in runs["parent"][0]["sha256"]:
         entry = {}
         for metric in metrics:
-            values, entry[metric["name"]] = versus(
+            values, stats = versus(
                 runs, f"{name}/{metric['name']}", metric["better"])
             q1, q3 = quartiles(values["parent"])
-            entry[metric["name"]] |= {
+            stats |= {
                 "parent_quartiles": [round(q1, 6), round(q3, 6)],
                 "parent_iqr": round(q3 - q1, 6),
             }
+            entry[metric["name"]] = stats | verdicts(
+                stats, metric["better"], metric["bound"])
         entry["decisions_sha256_equal_seeds"] = sum(
             p["sha256"][name] == c["sha256"][name]
             for p, c in zip(runs["parent"], runs["change"]))
