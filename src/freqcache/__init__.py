@@ -13,15 +13,15 @@ from .edge_refresh import cutoff_index, patch_energy, refresh_mask
 from .errors import DegenerateSpectrumError, FrameParseError, InvariantError
 from .frame import PatchGrid, validate_frame
 from .fusion import (
-    DEFAULT_COST_MODEL,
     CacheConfig,
     CacheDecision,
-    CostModel,
     SequenceReport,
     StepReport,
     TokenCache,
     decide,
     default_token_fn,
+    modeled_cost,
+    modeled_latency_ms,
     populate_cache,
     run_sequence,
     step,
@@ -40,8 +40,6 @@ __all__ = [
     "__version__",
     "CacheConfig",
     "CacheDecision",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
     "DegenerateSpectrumError",
     "Displacement",
     "EntropyReading",
@@ -59,6 +57,8 @@ __all__ = [
     "decide",
     "default_token_fn",
     "generate_scene",
+    "modeled_cost",
+    "modeled_latency_ms",
     "patch_energy",
     "phase_correlation_spectra",
     "populate_cache",

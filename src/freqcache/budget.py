@@ -13,9 +13,8 @@ _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 @dataclass(frozen=True)
 class EntropyReading:
-    raw: float         # nats, in [0, ln(bin_count)]
-    normalized: float  # raw / ln(bin_count), in [0, 1]
-    bin_count: int
+    raw: float         # nats, in [0, ln(bins)] over the full grid's bins
+    normalized: float  # raw / ln(bins), in [0, 1]
 
 
 def spectral_entropy(amplitude, weights=None, *, power=None):
@@ -58,7 +57,7 @@ def spectral_entropy(amplitude, weights=None, *, power=None):
     np.maximum(p, _SMALLEST_SUBNORMAL, out=log_p)
     np.log(log_p, out=log_p)
     raw = -bin_dot(p, log_p, weights) + 0.0
-    return EntropyReading(raw, raw / math.log(bins), bins)
+    return EntropyReading(raw, raw / math.log(bins))
 
 
 def reuse_budget(normalized_entropy, cfg, n_tokens):

@@ -129,6 +129,11 @@ def resolve_settings(args):
         if value is not None:
             settings[key] = value
             settings.origin.pop(key, None)
+    for key, least in (("patch_size", 2), ("seed", 0)):
+        if settings.get(key, least) < least:
+            with settings.blame(key):
+                raise ValueError(f"{key} must be >= {least}, got "
+                                 f"{settings[key]}")
     return settings
 
 
@@ -154,12 +159,18 @@ def build_cache_config(settings):
     return CacheConfig(**values)
 
 
+def _check_tiles(settings, shape):
+    """Raise ValueError, with the config line that set ``patch_size``,
+    unless the patch size tiles a frame of ``shape``."""
+    with settings.blame("patch_size"):
+        grid_shape(shape, settings["patch_size"])
+
+
 def _load_input(args, settings):
     """The frames of ``--input``, their shape checked to tile by the patch
     size; each frame is read when the stream reaches it."""
     frames = _read("--input", args.input, load_frames, args.format)
-    with settings.blame("patch_size"):
-        grid_shape(frames.shape, settings["patch_size"])
+    _check_tiles(settings, frames.shape)
     return frames
 
 
@@ -217,6 +228,8 @@ def _scene_from_args(args, settings):
 
 
 def cmd_synth(args, settings, t0):
+    if args.kind == "edge-inject":  # the one kind placed on the patch grid
+        _check_tiles(settings, (args.height, args.width))
     scene = _scene_from_args(args, settings)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -276,6 +289,7 @@ def cmd_compare(args, settings, t0):
         labels = None
         source = args.input
     else:
+        _check_tiles(settings, (args.height, args.width))
         scene = _scene_from_args(args, settings)
         frames = scene.frames
         labels = scene.edge_labels if any(scene.edge_labels) else None
@@ -298,6 +312,7 @@ def cmd_compare(args, settings, t0):
 
 def cmd_bench(args, settings, t0):
     cfg = build_cache_config(settings)
+    _check_tiles(settings, (args.height, args.width))
     result = bench(cfg, args.height, args.width, iterations=args.iterations,
                    seed=settings["seed"])
     print(json.dumps(result, indent=2))

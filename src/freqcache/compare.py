@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 
 from .frame import PatchGrid
-from .fusion import DEFAULT_COST_MODEL, stream
+from .fusion import modeled_cost, modeled_latency_ms, stream
 
 
 def check_cosine(name, value):
@@ -112,7 +112,7 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     n = decision.rows * decision.cols
     policies = {}
     for name in names:
-        ratio, mean_latency, speedup = DEFAULT_COST_MODEL.summary(reused[name], n)
+        ratio, mean_latency, speedup = modeled_cost(reused[name], n)
         policies[name] = {
             "reuse_ratio": ratio,
             "edge_false_reuse": false_reuse[name] if have_labels else None,
@@ -122,7 +122,7 @@ def compare_domains(frames, cfg, *, edge_labels=None, tau_visual=0.85,
     return {
         "n_steps": len(reused["freqcache"]),
         "n_tokens": n,
-        "baseline_latency_ms": DEFAULT_COST_MODEL.latency_ms(n),
+        "baseline_latency_ms": modeled_latency_ms(n),
         "thresholds": thresholds,
         "policies": policies,
     }

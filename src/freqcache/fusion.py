@@ -23,38 +23,27 @@ from .migration import (
 from .spectral import bin_dot, hermitian_weights
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Affine per-step latency in the number of recomputed tokens."""
-
-    base_ms: float
-    per_token_ms: float
-
-    def latency_ms(self, n_recompute):
-        return self.base_ms + self.per_token_ms * n_recompute
-
-    def summary(self, reused_per_step, n_tokens):
-        """``(reuse_ratio, mean_latency_ms, speedup)`` of steps that each
-        reuse ``reused_per_step[t]`` of ``n_tokens`` tokens; the speedup is
-        against recomputing every token."""
-        mean_latency = sum(self.latency_ms(n_tokens - k)
-                           for k in reused_per_step) / len(reused_per_step)
-        return (sum(reused_per_step) / (len(reused_per_step) * n_tokens),
-                mean_latency, self.latency_ms(n_tokens) / mean_latency)
-
-    @classmethod
-    def calibrated(cls, full_ms, cached_ms, reuse_ratio, n_tokens):
-        """Fit the two constants so that recomputing all ``n_tokens`` costs
-        ``full_ms`` and running at ``reuse_ratio`` costs ``cached_ms``."""
-        n_full = float(n_tokens)
-        n_cached = n_tokens * (1.0 - reuse_ratio)
-        per = (full_ms - cached_ms) / (n_full - n_cached)
-        return cls(full_ms - per * n_full, per)
+# The modelled encoder: a step's latency is affine in the tokens it
+# recomputes, fitted so that a 196-token step costs 637 ms with no reuse and
+# 401 ms at 53.5% reuse. It is a model of an encoder, not a measurement.
+_PER_TOKEN_MS = (637.0 - 401.0) / (196.0 - 196 * (1.0 - 0.535))
+_BASE_MS = 637.0 - _PER_TOKEN_MS * 196.0
 
 
-# Calibrated so a 196-token step costs 637 ms with no reuse and 401 ms at
-# 53.5% reuse.
-DEFAULT_COST_MODEL = CostModel.calibrated(637.0, 401.0, 0.535, 196)
+def modeled_latency_ms(n_recompute):
+    """Modelled latency of a step that recomputes ``n_recompute`` tokens."""
+    return _BASE_MS + _PER_TOKEN_MS * n_recompute
+
+
+def modeled_cost(reused_per_step, n_tokens):
+    """``(reuse_ratio, mean_latency_ms, speedup)`` of steps that each reuse
+    ``reused_per_step[t]`` of ``n_tokens`` tokens, under
+    :func:`modeled_latency_ms`; the speedup is against recomputing every
+    token."""
+    mean_latency = sum(modeled_latency_ms(n_tokens - k)
+                       for k in reused_per_step) / len(reused_per_step)
+    return (sum(reused_per_step) / (len(reused_per_step) * n_tokens),
+            mean_latency, modeled_latency_ms(n_tokens) / mean_latency)
 
 
 @dataclass(frozen=True)
@@ -296,7 +285,7 @@ def decide(prev, curr, cfg, *, step=0):
         align = alignment_mask(disp, grid)
         timings["migration"] = (time.perf_counter_ns() - t0) // 1000
 
-    entropy = EntropyReading(0.0, 0.0, prev.size)
+    entropy = EntropyReading(0.0, 0.0)
     alpha, k_reuse = 0.0, 0
     if a_curr.power > 0.0:
         t0 = time.perf_counter_ns()
@@ -383,7 +372,6 @@ class TokenCache:
 
 @dataclass(frozen=True)
 class StepReport:
-    step: int
     n_reused: int
     n_recomputed: int
 
@@ -450,11 +438,8 @@ def step(cache, decision, curr, token_fn):
     if reuse.size:
         tokens[reuse] = cache.tokens[si, sj]
         ages[reuse] = cache.ages[si, sj] + 1
-    report = StepReport(
-        step=decision.step,
-        n_reused=n - recompute.size,
-        n_recomputed=recompute.size,
-    )
+    report = StepReport(n_reused=n - recompute.size,
+                        n_recomputed=recompute.size)
     return TokenCache(tokens.reshape(rows, cols, -1), ages.reshape(rows, cols)), report
 
 
@@ -498,8 +483,7 @@ def run_sequence(frames, cfg):
     into aggregate metrics."""
     decisions = list(stream(frames, cfg))
     n = decisions[0].rows * decisions[0].cols
-    reuse_ratio, _, speedup = DEFAULT_COST_MODEL.summary(
-        [d.k_final for d in decisions], n)
+    reuse_ratio, _, speedup = modeled_cost([d.k_final for d in decisions], n)
     return SequenceReport(
         n_frames=len(decisions) + 1,
         n_tokens=n,

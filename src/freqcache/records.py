@@ -9,7 +9,7 @@ requested; everything else is deterministic for identical inputs.
 import csv
 import json
 
-from .fusion import DEFAULT_COST_MODEL
+from .fusion import modeled_latency_ms
 
 METRICS_HEADER = ["step", "reuse_ratio", "sim_freq", "entropy", "alpha",
                   "latency_model_ms"]
@@ -126,7 +126,7 @@ def metrics_rows(report):
     """CSV rows (one per decision step) for a sequence report."""
     return [[d.step, d.k_final / report.n_tokens, d.sim_freq,
              d.entropy.normalized, d.alpha_t,
-             DEFAULT_COST_MODEL.latency_ms(report.n_tokens - d.k_final)]
+             modeled_latency_ms(report.n_tokens - d.k_final)]
             for d in report.decisions]
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frame import grid_shape
+
 SCENE_KINDS = ("translate", "edge-inject", "complexity-ramp", "noise", "static")
 # Intensity range of the smooth gradient under edge-inject and
 # complexity-ramp scenes; edges step between its two ends.
@@ -91,11 +93,7 @@ def generate_scene(spec):
 
     # edge-inject
     p = spec.patch_size
-    if h % p or w % p:
-        raise ValueError(
-            f"patch size {p} does not divide scene dimensions {h}x{w}"
-        )
-    rows, cols = h // p, w // p
+    rows, cols = grid_shape((h, w), p)
     n = rows * cols
     k = spec.edge_count
     if not 0 < k <= n:

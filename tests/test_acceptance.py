@@ -14,10 +14,10 @@ from scipy.stats import spearmanr
 
 from freqcache import (
     CacheConfig,
-    DEFAULT_COST_MODEL,
     PatchGrid,
     cutoff_index,
     decide,
+    modeled_latency_ms,
     patch_energy,
     refresh_mask,
     reuse_budget,
@@ -239,10 +239,9 @@ def test_criterion_7_invariants_and_reproducibility(tmp_path):
 def test_criterion_8_cost_model_consistency():
     with criterion(8, "cost model hits the 637/401 ms endpoints and a "
                       "~53.5%-reuse run reports 1.59x +/- 0.02"):
-        model = DEFAULT_COST_MODEL
-        assert model.latency_ms(196) == pytest.approx(637.0, abs=1e-9)
-        assert model.latency_ms(196 * (1 - 0.535)) == pytest.approx(401.0,
-                                                                    abs=1e-9)
+        assert modeled_latency_ms(196) == pytest.approx(637.0, abs=1e-9)
+        assert modeled_latency_ms(196 * (1 - 0.535)) == pytest.approx(
+            401.0, abs=1e-9)
         scene = generate_scene(
             SceneSpec(kind="static", height=112, width=112, length=9, seed=7)
         )

@@ -24,7 +24,6 @@ class TestSpectralEntropy:
         reading = spectral_entropy(amp)
         assert reading.raw == 0.0
         assert reading.normalized == 0.0
-        assert reading.bin_count == 64
 
     def test_uniform_power_is_maximal(self):
         reading = spectral_entropy(np.full((8, 8), 2.0))

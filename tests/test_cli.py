@@ -267,6 +267,63 @@ class TestUsageErrors:
             "(16, 8)\n")
         assert not (tmp_path / "out").exists()
 
+    # Each command that reads ``seed``, with the arguments it needs besides.
+    SEEDED = {
+        "synth": ("--out", "{out}/s.fqc"),
+        "compare": ("--length", 3, "--out-dir", "{out}"),
+        "bench": ("--iterations", 1, "--out", "{out}/b.json"),
+    }
+
+    @pytest.mark.parametrize("command", SEEDED)
+    @pytest.mark.parametrize("config,flags,message", [
+        ("", ("--seed", -1), "seed must be >= 0, got -1"),
+        ("seed = -2", (), "{cfg}:2: seed must be >= 0, got -2"),
+    ])
+    def test_negative_seed_prints_one_line(self, tmp_path, capsys, command,
+                                           config, flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{config}\n")
+        out = tmp_path / "out"
+        argv = [str(a).format(out=out) for a in self.SEEDED[command]]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, *argv, "--config", cfg, *flags)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {message.format(cfg=cfg)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (("bench", "--height", 96, "--width", 96, "--iterations", 1,
+          "--out", "{out}/b.json"), "patch_size = 7",
+         "{cfg}:2: patch size 7 does not divide frame dimensions 96x96"),
+        (("compare", "--kind", "translate", "--length", 3, "--out-dir",
+          "{out}"), "patch_size = 7",
+         "{cfg}:2: patch size 7 does not divide frame dimensions 96x96"),
+        (("synth", "--kind", "edge-inject", "--out", "{out}/s.fqc"),
+         "patch_size = 7",
+         "{cfg}:2: patch size 7 does not divide frame dimensions 96x96"),
+        (("synth", "--out", "{out}/s.fqc"), "patch_size = 1",
+         "{cfg}:2: patch_size must be >= 2, got 1"),
+    ])
+    def test_patch_size_for_generated_frames_prints_one_line(
+            self, tmp_path, capsys, argv, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{config}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*(str(a).format(out=out) for a in argv), "--config", cfg)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {message.format(cfg=cfg)}\n")
+        assert not out.exists()
+
+    def test_synth_tiles_only_an_edge_inject_scene(self, tmp_path):
+        # a translate scene is not placed on the patch grid
+        raw = tmp_path / "s.fqc"
+        assert run_cli("synth", "--height", 100, "--width", 100,
+                       "--length", 2, "--out", raw) == 0
+        assert load_frames(raw, "rawf32").shape == (100, 100)
+
     @pytest.mark.parametrize("argv", [
         ("masks", "--decisions", "d.jsonl", "--out-dir", "m",
          "--tau-mig", "0.5"),

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from freqcache import CacheConfig, DEFAULT_COST_MODEL, run_sequence
+from freqcache import CacheConfig, modeled_cost, run_sequence
 from freqcache import PatchGrid
 from freqcache.compare import compare_domains
 from freqcache.scenes import SceneSpec, generate_scene
@@ -147,7 +147,7 @@ def test_freqcache_policy_equals_run_sequence():
     report = run_sequence(scene.frames, cfg)
     assert report.mean_reuse_ratio > 0.0
     assert policy["reuse_ratio"] == report.mean_reuse_ratio
-    assert policy["mean_latency_ms"] == DEFAULT_COST_MODEL.summary(
+    assert policy["mean_latency_ms"] == modeled_cost(
         [d.k_final for d in report.decisions], report.n_tokens)[1]
     assert policy["speedup"] == report.speedup
 

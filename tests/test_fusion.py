@@ -19,14 +19,13 @@ from hypothesis import strategies as st
 import freqcache
 from freqcache import (
     CacheConfig,
-    CostModel,
-    DEFAULT_COST_MODEL,
     Displacement,
     EntropyReading,
     InvariantError,
     PatchGrid,
     decide,
     default_token_fn,
+    modeled_latency_ms,
     patch_energy,
     phase_correlation_spectra,
     populate_cache,
@@ -84,14 +83,12 @@ class TestTopKAscending:
 
 class TestCostModel:
     def test_calibrated_endpoints(self):
-        model = DEFAULT_COST_MODEL
-        assert model.latency_ms(196) == pytest.approx(637.0, abs=1e-9)
-        assert model.latency_ms(196 * (1 - 0.535)) == pytest.approx(401.0,
-                                                                    abs=1e-9)
+        assert modeled_latency_ms(196) == pytest.approx(637.0, abs=1e-9)
+        assert modeled_latency_ms(196 * (1 - 0.535)) == pytest.approx(
+            401.0, abs=1e-9)
 
     def test_speedup_at_calibration_point(self):
-        model = DEFAULT_COST_MODEL
-        speedup = model.latency_ms(196) / model.latency_ms(196 * 0.465)
+        speedup = modeled_latency_ms(196) / modeled_latency_ms(196 * 0.465)
         assert speedup == pytest.approx(637.0 / 401.0, abs=1e-12)
 
 
@@ -147,7 +144,7 @@ class TestDecide:
         assert d2.k_reuse > 0 and d2.k_final == 0
         d3 = decide(frame, np.zeros((32, 32)), CFG32)
         assert d3.flushed and d3.diagnostic == "degenerate spectrum"
-        assert d3.entropy == EntropyReading(0.0, 0.0, 1024) and d3.k_reuse == 0
+        assert d3.entropy == EntropyReading(0.0, 0.0) and d3.k_reuse == 0
         # every squared amplitude of this frame would underflow, but decide
         # scales it back to the unit-scale frame first
         d4 = decide(frame, np.ldexp(frame, -565), CFG32)
@@ -820,6 +817,20 @@ class TestStep:
                 "match decision grid 8x8")):
             step(cache, d, curr, default_token_fn)
 
+    @pytest.mark.parametrize("rows,cols", [
+        (3, 3),    # 3 rows do not divide 32 pixels
+        (2, 4),    # 16x8-pixel patches are not square
+        (64, 64),  # more patches than pixels
+    ])
+    def test_decision_grid_that_does_not_tile_the_frame_raises(self, rows,
+                                                               cols):
+        frame = textured(34)
+        d = dataclasses.replace(decide(frame, frame, CFG32), rows=rows,
+                                cols=cols)
+        with pytest.raises(ValueError, match=re.escape(
+                f"decision grid {rows}x{cols} does not tile frame 32x32")):
+            step(None, d, frame, default_token_fn)
+
     def test_out_of_bounds_check_survives_python_O(self):
         paths = [str(Path(freqcache.__file__).parents[1]), str(Path(__file__).parent)]
         code = ("import sys, test_fusion; "
@@ -948,7 +959,3 @@ class TestRunSequence:
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
             run_sequence([np.ones((16, 16))], CacheConfig(patch_size=4))
-
-    def test_cost_model_example_arithmetic(self):
-        model = CostModel(base_ms=103.1, per_token_ms=2.492)
-        assert model.latency_ms(196) == pytest.approx(591.532, abs=1e-9)

@@ -75,7 +75,6 @@ class TestWeightedHalfSpectrum:
         w, a, _ = case
         half = spectral_entropy(a, hermitian_weights(w))
         full = spectral_entropy(mirrored(a, w))
-        assert half.bin_count == full.bin_count == a.shape[0] * w
         assert abs(half.raw - full.raw) <= 1e-12
         assert abs(half.normalized - full.normalized) <= 1e-12
 
@@ -94,4 +93,4 @@ class TestWeightedHalfSpectrum:
         half = spectral_entropy(half_curr, weights)
         full = spectral_entropy(full_curr)
         assert half.raw == pytest.approx(full.raw, abs=1e-12)
-        assert half.bin_count == full.bin_count
+        assert half.normalized == pytest.approx(full.normalized, abs=1e-12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -17,6 +19,20 @@ def test_specs_reject_bad_values():
     with pytest.raises(ValueError):
         generate_scene(SceneSpec(kind="edge-inject", height=30, width=30,
                                  patch_size=8))
+
+
+@pytest.mark.parametrize("size,message", [
+    (7, "patch size 7 does not divide frame dimensions 96x96"),
+    (1, "patch size must be >= 2, got 1"),
+])
+def test_edge_inject_tiles_by_the_frame_rule(size, message):
+    # a 1-pixel "edge" patch once held no edge at all
+    spec = SceneSpec(kind="edge-inject", height=96, width=96, patch_size=size)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_scene(spec)
+    # no other kind is placed on the patch grid
+    assert len(generate_scene(SceneSpec(kind="translate", height=96,
+                                        width=96, patch_size=size)).frames) == 16
 
 
 def test_determinism():
