@@ -16,7 +16,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -116,7 +115,7 @@ def read_config_file(path, command):
 
 def resolve_settings(args):
     """The settings ``args.command`` reads: defaults, overridden by the
-    config file, overridden by flags."""
+    config file, overridden by flags. ``compare --input`` reads no seed."""
     keys = READS[args.command]
     settings = Settings((key, DEFAULTS[key]) for key in keys)
     if getattr(args, "config", None):
@@ -129,6 +128,12 @@ def resolve_settings(args):
         if value is not None:
             settings[key] = value
             settings.origin.pop(key, None)
+    if "seed" in settings and getattr(args, "input", None):
+        # Frames read from a file have no scene for a seed to generate.
+        if args.seed is not None or "seed" in settings.origin:
+            with settings.blame("seed"):
+                raise ValueError(f"{args.command} --input reads no seed")
+        del settings["seed"]
     for key, least in (("patch_size", 2), ("seed", 0)):
         if settings.get(key, least) < least:
             with settings.blame(key):
@@ -138,25 +143,19 @@ def resolve_settings(args):
 
 
 def build_cache_config(settings):
-    """The :class:`CacheConfig` of resolved :class:`Settings`; a value it
-    rejects is reported with the config-file line that set it."""
-    values = {name: settings[key] for key, name in CACHE_FIELDS.items()}
-    key_of = {name: key for key, name in CACHE_FIELDS.items()}
-    # CacheConfig checks the alpha pair together and every other field
-    # alone, so trying the pair, then each other field in CacheConfig's
-    # order, finds the setting to blame; a message names the field, so it
-    # is reworded to name the setting.
-    pair = ("alpha_min", "alpha_max")
-    for group in (pair, *((f.name,) for f in fields(CacheConfig)
-                          if f.name not in pair)):
-        with settings.blame(*(key_of[name] for name in group)):
-            try:
-                CacheConfig(**{name: values[name] for name in group})
-            except ValueError as exc:
-                name = group[0]
-                raise ValueError(
-                    str(exc).replace(name, key_of[name], 1)) from None
-    return CacheConfig(**values)
+    """The :class:`CacheConfig` of resolved :class:`Settings`. A value it
+    rejects is reported in the names of the settings its message names,
+    with the config-file line of the first of them that came from a file."""
+    try:
+        return CacheConfig(**{name: settings[key]
+                              for key, name in CACHE_FIELDS.items()})
+    except ValueError as exc:
+        message = str(exc)
+        named = [key for key, name in CACHE_FIELDS.items() if name in message]
+        for key in named:
+            message = message.replace(CACHE_FIELDS[key], key, 1)
+        with settings.blame(*named):
+            raise ValueError(message) from None
 
 
 def _check_tiles(settings, shape):

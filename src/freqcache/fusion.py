@@ -57,16 +57,17 @@ class CacheConfig:
     patch_size: int = 16
 
     def __post_init__(self):
-        if not 0.0 <= self.tau_mig <= 1.0:
-            raise ValueError(f"tau_mig must lie in [0, 1], got {self.tau_mig}")
-        if not math.isfinite(self.edge_lambda):
-            raise ValueError(
-                f"edge_lambda must be finite, got {self.edge_lambda}")
+        # Messages name the fields they check; the CLI blames their settings.
         if not 0.0 <= self.alpha_min <= self.alpha_max <= 1.0:
             raise ValueError(
                 f"need 0 <= alpha_min <= alpha_max <= 1, got "
                 f"({self.alpha_min}, {self.alpha_max})"
             )
+        if not 0.0 <= self.tau_mig <= 1.0:
+            raise ValueError(f"tau_mig must lie in [0, 1], got {self.tau_mig}")
+        if not math.isfinite(self.edge_lambda):
+            raise ValueError(
+                f"edge_lambda must be finite, got {self.edge_lambda}")
         if self.patch_size < 2:
             raise ValueError(f"patch_size must be >= 2, got {self.patch_size}")
 
@@ -396,7 +397,7 @@ def step(cache, decision, curr, token_fn):
     curr = validate_frame(curr)
     rows, cols = decision.rows, decision.cols
     h, w = curr.shape
-    if h % rows or w % cols or h // rows != w // cols:
+    if min(rows, cols) < 1 or h % rows or w % cols or h // rows != w // cols:
         raise ValueError(
             f"decision grid {rows}x{cols} does not tile frame {h}x{w}"
         )

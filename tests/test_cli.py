@@ -101,6 +101,13 @@ class TestUsageErrors:
         ("lambda = inf", (), "{cfg}:3: lambda must be finite, got inf"),
         ("seed = 3", (), "{cfg}:3: unknown setting 'seed' for analyze; it "
          "reads patch_size, tau_mig, lambda, alpha_min, alpha_max"),
+        ("alpha-min = 0.9\nalpha-max = 0.1", (),
+         "{cfg}:3: need 0 <= alpha_min <= alpha_max <= 1, got (0.9, 0.1)"),
+        ("alpha-max = 0.1", ("--alpha-min", 0.9),
+         "{cfg}:3: need 0 <= alpha_min <= alpha_max <= 1, got (0.9, 0.1)"),
+        # two broken rules: the pair is the one reported
+        ("tau-mig = 1.5\nalpha-min = 0.9\nalpha-max = 0.1", (),
+         "{cfg}:4: need 0 <= alpha_min <= alpha_max <= 1, got (0.9, 0.1)"),
     ])
     def test_rejected_setting_prints_one_line(self, tmp_path, capsys, config,
                                               flags, message):
@@ -232,6 +239,27 @@ class TestUsageErrors:
             run_cli("compare", "--height", 32, "--width", 32, "--length", 3,
                     "--patch-size", 8, "--out-dir", out, "--config", cfg,
                     *flags)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"freqcache: error: {message.format(cfg=cfg)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ("", ("--seed", -1), "compare --input reads no seed"),
+        ("seed = 5", (), "{cfg}:2: compare --input reads no seed"),
+    ])
+    def test_compare_input_with_a_seed_prints_one_line(self, tmp_path, capsys,
+                                                       config, flags, message):
+        raw = tmp_path / "scene.fqc"
+        run_cli("synth", "--height", 32, "--width", 32, "--length", 3,
+                "--out", raw)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# settings\n{config}\n")
+        out = tmp_path / "compare"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("compare", "--input", raw, "--patch-size", 8,
+                    "--out-dir", out, "--config", cfg, *flags)
         assert exit_info.value.code == 2
         assert capsys.readouterr().err == (
             f"freqcache: error: {message.format(cfg=cfg)}\n")
@@ -383,6 +411,22 @@ class TestSettingsTable:
         assert cfg == CacheConfig(patch_size=8, tau_mig=0.3, edge_lambda=0.7,
                                   alpha_min=0.2, alpha_max=0.6)
 
+    @pytest.mark.parametrize("broken,checked", [
+        ({"tau_mig": 1.5}, {"tau_mig"}),
+        ({"edge_lambda": float("inf")}, {"edge_lambda"}),
+        ({"alpha_min": 0.9, "alpha_max": 0.1}, {"alpha_min", "alpha_max"}),
+        ({"patch_size": 1}, {"patch_size"}),
+    ])
+    def test_each_rule_names_the_fields_it_checks(self, broken, checked):
+        # build_cache_config blames the settings of the fields a message
+        # names, found by substring, so no field name may hold another
+        names = [f.name for f in dataclasses.fields(CacheConfig)]
+        assert not [(a, b) for a in names for b in names if a != b and a in b]
+        with pytest.raises(ValueError) as exc_info:
+            CacheConfig(**broken)
+        assert {name for name in names if name in str(exc_info.value)} == (
+            checked)
+
     def test_manifest_settings_follow_the_table(self, tmp_path):
         raw = tmp_path / "scene.fqc"
         out = tmp_path / "analysis"
@@ -395,8 +439,8 @@ class TestSettingsTable:
             "masks": (("--decisions", out / "decisions.jsonl",
                        "--out-dir", tmp_path / "masks"),
                       tmp_path / "masks" / "manifest.json"),
-            "compare": (("--input", raw, "--patch-size", 8,
-                         "--out-dir", tmp_path / "cmp"),
+            "compare": (("--height", 32, "--width", 32, "--length", 3,
+                         "--patch-size", 8, "--out-dir", tmp_path / "cmp"),
                         tmp_path / "cmp" / "manifest.json"),
             "bench": (("--height", 32, "--width", 32, "--patch-size", 8,
                        "--iterations", 1, "--out", bench_out),
@@ -408,6 +452,13 @@ class TestSettingsTable:
             manifest = json.loads(manifest_path.read_text())
             assert manifest["command"] == name
             assert list(manifest["settings"]) == list(READS[name])
+        # frames read from a file have no seed
+        assert run_cli("compare", "--input", raw, "--patch-size", 8,
+                       "--out-dir", tmp_path / "cmp-input") == 0
+        manifest = json.loads((tmp_path / "cmp-input" / "manifest.json")
+                              .read_text())
+        assert list(manifest["settings"]) == [
+            key for key in READS["compare"] if key != "seed"]
 
 
 def shifted_frames(n, shape=(64, 64)):

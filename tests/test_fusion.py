@@ -821,6 +821,9 @@ class TestStep:
         (3, 3),    # 3 rows do not divide 32 pixels
         (2, 4),    # 16x8-pixel patches are not square
         (64, 64),  # more patches than pixels
+        (0, 4),    # an empty grid
+        (4, 0),
+        (-4, -4),  # a negative grid
     ])
     def test_decision_grid_that_does_not_tile_the_frame_raises(self, rows,
                                                                cols):

@@ -155,6 +155,27 @@ def test_near_constant_scene_holds_what_it_names(monkeypatch, tmp_path):
         assert fusion._analyse(frames[t])[1].constant == constant
 
 
+def test_same_outputs_rejected_runs_print_one_line(monkeypatch, tmp_path,
+                                                   capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import same_outputs
+    from freqcache.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    scene, patch_size = same_outputs.SCENES[same_outputs.CRITERION_7]
+    main(dict(same_outputs.commands(scene, patch_size))["synth"])
+    for name, (config, _) in same_outputs.REJECTED.items():
+        Path(f"{name}.cfg").write_text(config)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(same_outputs.rejected_argv(name))
+        assert exit_info.value.code == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("freqcache: error: "), name
+        assert len(err.splitlines()) == 1, name
+        assert not Path(name).exists(), name
+
+
 def synthetic_runs(metric, parent, change):
     """An ``ab_bench`` runs dict of one workload ``w`` whose ``metric``
     reads ``parent[i]`` and ``change[i]`` on pair i."""

@@ -10,8 +10,10 @@ runs its CLI (``python -m freqcache`` with that revision's ``src`` first on
 from ``--input``, and one more ``analyze`` that sets ``tau_mig``,
 ``lambda``, ``alpha_min`` and ``alpha_max`` off their defaults, two
 through a ``--config`` file and two through flags (see ``TUNED``). The
-flat-patch and near-constant scenes are no
-synthetic kind: their rawf32 inputs are written by
+criterion-7 scene also runs the ``analyze`` commands of ``REJECTED``,
+each with a config file that it or its flags break; their exit status
+and stderr are saved as a stdout is. The flat-patch and near-constant
+scenes are no synthetic kind: their rawf32 inputs are written by
 :func:`write_flat_patches` and :func:`write_near_constant`, and they run
 ``analyze``, ``masks`` and ``compare --input``. Every command runs in
 the scene's output directory with relative paths, so its stdout names
@@ -20,8 +22,8 @@ Then every file of the two output trees is compared byte for byte,
 except manifests, which hold wall-clock times. Prints one line per
 difference and exits 1 if there is any, 0 if none. Running outside a git
 repository, a revision that is not a commit of it (see revisions.py), or
-a command that fails on either side stops the check with status 2.
-Uses the standard library only.
+a command other than a rejected run that fails on either side stops the
+check with status 2. Uses the standard library only.
 """
 
 import argparse
@@ -61,6 +63,18 @@ CRITERION_7 = next(iter(SCENES))
 # then its flags.
 TUNED = ("tau-mig = 0.2\nalpha_min = 0.15\n",
          ["--lambda", "0.4", "--alpha-max", "0.45"])
+# The criterion-7 scene's rejected analyze runs, by name: the text of the
+# config file ``NAME.cfg`` each reads, then its flags.
+REJECTED = {
+    "three-rules-in-file": ("tau-mig = 1.5\nlambda = inf\nalpha-min = 0.9\n"
+                            "alpha-max = 0.1\n", []),
+    "pair-in-file-and-flag": ("alpha-max = 0.1\n", ["--alpha-min", "0.9"]),
+    "lambda-and-patch-size": ("lambda = inf\npatch-size = 1\n", []),
+    "nan-tau-mig-flag": ("tau-mig = 0.2\n", ["--tau-mig", "nan"]),
+    "nan-lambda-flag": ("", ["--lambda", "nan"]),
+    "out-of-range-flags": ("tau-mig = 0.2\n", ["--tau-mig", "-1",
+                                                "--alpha-max", "1.5"]),
+}
 
 
 def write_rawf32(path, size, frames):
@@ -167,6 +181,19 @@ def commands(scene, patch_size, tuned=False):
     return runs
 
 
+def run_cli(argv, cwd, env):
+    """The finished ``python -m freqcache`` run of ``argv`` in ``cwd``."""
+    return subprocess.run([sys.executable, "-m", "freqcache", *argv],
+                          cwd=cwd, env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True)
+
+
+def rejected_argv(name):
+    """The argv of the rejected run ``name``."""
+    return ["analyze", "--input", "scene.fqc", "--config", f"{name}.cfg",
+            *REJECTED[name][1], "--out-dir", name]
+
+
 def run_side(tree, out):
     """Run every scene's commands with ``tree``'s package, outputs under
     ``out``."""
@@ -181,14 +208,19 @@ def run_side(tree, out):
             (cwd / "tuned.cfg").write_text(TUNED[0])
         for i, (label, argv) in enumerate(commands(scene, patch_size,
                                                    tuned)):
-            proc = subprocess.run([sys.executable, "-m", "freqcache", *argv],
-                                  cwd=cwd, env=env, stdin=subprocess.DEVNULL,
-                                  capture_output=True)
+            proc = run_cli(argv, cwd, env)
             if proc.returncode != 0:
                 fail(TOOL, f"{label} on {name} in {tree} exited with "
                            f"{proc.returncode}:\n"
                            f"{proc.stderr.decode(errors='replace')}")
             (cwd / "stdout" / f"{i}-{label}.txt").write_bytes(proc.stdout)
+        if tuned:
+            (cwd / "rejected").mkdir()
+            for label, (config, _) in REJECTED.items():
+                (cwd / f"{label}.cfg").write_text(config)
+                proc = run_cli(rejected_argv(label), cwd, env)
+                (cwd / "rejected" / f"{label}.txt").write_bytes(
+                    b"exit %d\n" % proc.returncode + proc.stderr)
 
 
 def outputs(root):
@@ -226,7 +258,7 @@ def main(argv=None):
         line.startswith("differs") for line in differ)
     print(f"same_outputs: {revs['parent'][:12]} vs {revs['change'][:12]}: "
           f"{same} file(s) byte-identical, {len(differ)} difference(s) over "
-          f"{len(SCENES)} scenes")
+          f"{len(SCENES)} scenes and {len(REJECTED)} rejected runs")
     return 1 if differ else 0
 
 
