@@ -155,13 +155,15 @@ class _Analysis(NamedTuple):
     """What ``decide`` reads of one frame, from :func:`_analyse`: the
     read-only ``complex64`` half spectrum of the frame at unit scale, the
     read-only amplitude of its own, the power of its full spectrum (the
-    squared norm ``sim_freq`` and the entropy take from it), and whether it
-    is constant."""
+    squared norm ``sim_freq`` and the entropy take from it), whether it
+    is constant, and the exponent k of the power of two 2^k that scaled the
+    frame (0 for a frame left as it is)."""
 
     spectrum: np.ndarray
     amplitude: np.ndarray
     power: float
     constant: bool
+    scale_exponent: int
 
 
 def _analyse(frame):
@@ -183,16 +185,18 @@ def _analyse(frame):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("frame contains non-finite values")
     exponent = math.frexp(max(-lo, hi))[1]
+    scale_exponent = 0
     if not -16 <= exponent <= 16:
-        frame = np.ldexp(frame, -exponent)
-        exponent = 0
+        scale_exponent, exponent = -exponent, 0
+        frame = np.ldexp(frame, scale_exponent)
     spectrum, amplitude, power = _half_spectrum(frame)
     spectrum = spectrum.astype(np.complex64)
     if exponent:
         spectrum *= 2.0 ** -exponent
     spectrum.flags.writeable = False
     amplitude.flags.writeable = False
-    return frame, _Analysis(spectrum, amplitude, power, bool(lo == hi))
+    return frame, _Analysis(spectrum, amplitude, power, bool(lo == hi),
+                            scale_exponent)
 
 
 def _half_spectrum(frame):
@@ -206,10 +210,15 @@ def _half_spectrum(frame):
 
 class _LastFrame(threading.local):
     """The last ``curr`` that ``decide`` analysed on this thread: its bits,
-    in a buffer reused while the frame shape stays, and its analysis."""
+    in a buffer reused while the frame shape stays, its analysis, and what
+    a step that repeats it reads instead of computing again: its entropy
+    reading (None until taken) and its read-only patch energies with the
+    patch size they were computed at."""
 
     bits = None
     analysis = None
+    entropy = None
+    energies = (None, None)
 
 
 _last = _LastFrame()
@@ -225,6 +234,15 @@ def _carried(frame):
     return None
 
 
+def _repeats(frame):
+    """Whether a float64 ``frame`` of the carried shape holds exactly the
+    carried bits. One element is compared first, so a frame that differs
+    there skips the whole compare."""
+    held, bits = frame.view(np.uint64), _last.bits.view(np.uint64)
+    middle = (frame.shape[0] // 2, frame.shape[1] // 2)
+    return bool(held[middle] == bits[middle] and (held == bits).all())
+
+
 def decide(prev, curr, cfg, *, step=0):
     """Decide which patches of ``curr`` may reuse cached tokens.
 
@@ -237,10 +255,14 @@ def decide(prev, curr, cfg, *, step=0):
     stream: ``curr``'s analysis is kept, with a copy of its bits, for this
     thread's next call, and a ``prev`` holding exactly those bits reuses it
     without being scanned or analysed again (a frame buffer rewritten in
-    place misses). Degenerate inputs (a frame whose spectrum has no power,
-    or a constant frame) force a flush with a diagnostic instead of
-    raising, so a black frame cannot abort a sequence; the analyses they
-    make undefined keep their defaults.
+    place misses). When such a ``prev`` is followed by a ``curr`` holding
+    the same bits, the step repeats the carried frame: ``curr`` is not
+    analysed either, and its entropy reading and, at the same patch size,
+    its patch energies are read from the carry; its patch grid is built
+    from the caller's ``curr`` at the carried scale. Degenerate inputs (a
+    frame whose spectrum has no power, or a constant frame) force a flush
+    with a diagnostic instead of raising, so a black frame cannot abort a
+    sequence; the analyses they make undefined keep their defaults.
     """
     t0 = time.perf_counter_ns()
     a_prev = _carried(prev)
@@ -249,18 +271,28 @@ def decide(prev, curr, cfg, *, step=0):
     bits = frame_array(curr)  # the caller's values, which the carry keeps
     if prev.shape != bits.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {bits.shape}")
+    repeat = a_prev is not None and _repeats(bits)
     timings = {"intake": (time.perf_counter_ns() - t0) // 1000}
 
     t0 = time.perf_counter_ns()
-    curr, a_curr = _analyse(bits)
+    if repeat:
+        a_curr = a_prev
+        curr = bits
+        if a_curr.scale_exponent:
+            curr = np.ldexp(bits, a_curr.scale_exponent)
+    else:
+        curr, a_curr = _analyse(bits)
     grid = PatchGrid._of_valid(curr, cfg.patch_size)
     n = grid.n_patches
     if a_prev is None:
         a_prev = _analyse(prev)[1]
-    if _last.bits is None or _last.bits.shape != curr.shape:
-        _last.bits = np.empty(curr.shape)
-    np.copyto(_last.bits, bits)
-    _last.analysis = a_curr
+    if not repeat:
+        if _last.bits is None or _last.bits.shape != curr.shape:
+            _last.bits = np.empty(curr.shape)
+        np.copyto(_last.bits, bits)
+        _last.analysis = a_curr
+        _last.entropy = None
+        _last.energies = (None, None)
     weights = hermitian_weights(curr.shape[1])
     timings["transform"] = (time.perf_counter_ns() - t0) // 1000
 
@@ -290,13 +322,19 @@ def decide(prev, curr, cfg, *, step=0):
     alpha, k_reuse = 0.0, 0
     if a_curr.power > 0.0:
         t0 = time.perf_counter_ns()
-        entropy = spectral_entropy(a_curr.amplitude, weights,
-                                   power=a_curr.power)
+        entropy = _last.entropy
+        if entropy is None:
+            entropy = _last.entropy = spectral_entropy(
+                a_curr.amplitude, weights, power=a_curr.power)
         alpha, k_reuse = reuse_budget(entropy.normalized, cfg, n)
         timings["budget"] = (time.perf_counter_ns() - t0) // 1000
 
     t0 = time.perf_counter_ns()
-    energies = patch_energy(grid)
+    size, energies = _last.energies
+    if size != grid.patch_size:
+        energies = patch_energy(grid)
+        energies.flags.writeable = False
+        _last.energies = (grid.patch_size, energies)
     fresh = refresh_mask(energies, cfg.edge_lambda)
     timings["edge"] = (time.perf_counter_ns() - t0) // 1000
 
@@ -397,7 +435,8 @@ def step(cache, decision, curr, token_fn):
     curr = validate_frame(curr)
     rows, cols = decision.rows, decision.cols
     h, w = curr.shape
-    if min(rows, cols) < 1 or h % rows or w % cols or h // rows != w // cols:
+    if (min(rows, cols) < 1 or h % rows or w % cols
+            or not 2 <= h // rows == w // cols):
         raise ValueError(
             f"decision grid {rows}x{cols} does not tile frame {h}x{w}"
         )
@@ -451,7 +490,11 @@ def stream(frames, cfg):
 
     ``frames`` may be any iterable. It is walked once, and only the two
     frames of the current step are held, so a lazy sequence such as
-    :func:`frameio.load_frames` returns is never in memory whole.
+    :func:`frameio.load_frames` returns is never in memory whole. Each
+    new frame is transformed once; from the second step on, a frame that
+    repeats the one before it bit for bit is not transformed at all, and
+    its step reads the analysis, entropy and patch energies
+    :func:`decide` carried from the step before.
     """
     frames = iter(frames)
     prev = next(frames, None)

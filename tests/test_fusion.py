@@ -529,6 +529,158 @@ def stage_results(frames, patch_size):
             patch_energy(PatchGrid(curr, patch_size)))
 
 
+def count_rfft2(monkeypatch):
+    """A list that gains one entry per ``scipy.fft.rfft2`` call."""
+    calls = []
+    real = scipy.fft.rfft2
+    monkeypatch.setattr(scipy.fft, "rfft2",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+def decide_each(calls, first=1):
+    """``decide`` on each ``(prev, curr, cfg)`` of ``calls`` in turn, on
+    this thread, as steps ``first``, ``first + 1``, ...: per call, its
+    decision or its exception's type and message."""
+    out = []
+    for t, (prev, curr, cfg) in enumerate(calls, first):
+        try:
+            out.append(decide(prev, curr, cfg, step=t))
+        except ValueError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def cold_each(calls):
+    """:func:`decide_each` of each call alone on a fresh thread."""
+    return [in_fresh_thread(decide_each, [call], t)[0]
+            for t, call in enumerate(calls, 1)]
+
+
+# The element a repeat check compares first, and one it does not.
+CENTRE, CORNER = (16, 16), (3, 5)
+
+
+class TestRepeatedFrame:
+    """A step whose ``prev`` hits the carry and whose ``curr`` holds the
+    same bits reads the carried analysis, entropy and patch energies; each
+    decision equals the one a fresh thread makes."""
+
+    def test_stream_transforms_each_new_frame_once(self, monkeypatch):
+        a, b = shifted_stream(70, (32, 32), n=2)
+        c = textured(71) ** 2  # another spectrum, so another entropy
+        frames = [a, b, b.copy(), c, c.copy(), c.copy(), a, a.copy()]
+        repeats = 4
+        cold = cold_each([(frames[t - 1], frames[t], CFG32)
+                          for t in range(1, len(frames))])
+        calls = count_rfft2(monkeypatch)
+        got = in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
+        assert len(calls) == len(frames) - repeats
+        assert got == cold
+        assert sum(not d.flushed for d in got) >= repeats
+
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** -20, 2.0 ** 40])
+    def test_repeat_outside_the_window_is_scaled_from_the_callers_frame(
+            self, scale, monkeypatch):
+        a, b, _ = (frame * scale for frame in shifted_stream(71, (32, 32)))
+        calls = [(a, b, CFG32), (b, b.copy(), CFG32),
+                 (b, b.copy(), CacheConfig(patch_size=4)),
+                 (b, b.copy(), CFG32)]
+        cold = cold_each(calls)
+        transforms = count_rfft2(monkeypatch)
+        assert in_fresh_thread(decide_each, calls) == cold
+        assert len(transforms) == 2
+
+    def test_repeat_with_other_settings_matches_cold(self):
+        a, b, _ = shifted_stream(72, (32, 32))
+        calls = [(a, b, CFG32),
+                 (b, b.copy(), CacheConfig(patch_size=4)),
+                 (b, b.copy(), CacheConfig(patch_size=16)),
+                 (b, b.copy(), CacheConfig(patch_size=8, edge_lambda=-0.5)),
+                 (b, b.copy(), CacheConfig(patch_size=8, edge_lambda=2.0)),
+                 (b, b.copy(), CacheConfig(patch_size=4, tau_mig=1.0))]
+        got = in_fresh_thread(decide_each, calls)
+        assert got == cold_each(calls)
+        assert len({d.refresh_set for d in got[1:5]}) > 1
+
+    def test_buffer_rewritten_after_the_call_then_repeated(self):
+        a, b, _ = shifted_stream(73, (32, 32))
+
+        def rewritten(patch_size):
+            buf = a.copy()
+            decide(textured(74), buf, CacheConfig(patch_size=16))
+            buf[...] = b
+            return decide(a.copy(), a.copy(), CacheConfig(patch_size=patch_size))
+
+        for patch_size in (8, 16):
+            assert in_fresh_thread(rewritten, patch_size) == in_fresh_thread(
+                decide, a, a, CacheConfig(patch_size=patch_size))
+
+    @pytest.mark.parametrize("at", [CENTRE, CORNER])
+    def test_signed_zero_is_not_a_repeat(self, at, monkeypatch):
+        frame = with_pixel(with_pixel(textured(75), 0.0, CENTRE), 0.0, CORNER)
+        calls = [(textured(76), frame, CFG32),
+                 (frame, with_pixel(frame, -0.0, at), CFG32)]
+        cold = cold_each(calls)
+        transforms = count_rfft2(monkeypatch)
+        assert in_fresh_thread(decide_each, calls) == cold
+        assert len(transforms) == 3
+
+    @pytest.mark.parametrize("at", [CENTRE, CORNER])
+    def test_nan_is_not_a_repeat(self, at):
+        frame = textured(77)
+        payload = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        calls = [(textured(78), frame, CFG32)]
+        for nan in (np.nan, payload[0]):
+            calls += [(frame, with_pixel(frame, nan, at), CFG32),
+                      (frame, frame.copy(), CFG32)]
+        got = in_fresh_thread(decide_each, calls)
+        assert got == cold_each(calls)
+        assert got[1] == got[3] == ("ValueError",
+                                    "frame contains non-finite values")
+
+    def test_repeat_sums_bins_once(self, monkeypatch):
+        # The powers and the entropy are carried, so only the gate's cross
+        # term is summed.
+        calls = []
+        real = spectral.bin_dot
+        for module in (fusion, migration, budget):
+            monkeypatch.setattr(module, "bin_dot",
+                                lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        a, b, _ = shifted_stream(80, (64, 64))
+
+        def repeat_sums():
+            decide(a, b, CFG32, step=1)
+            calls.clear()
+            d = decide(b, b.copy(), CFG32, step=2)
+            assert not d.flushed
+            return len(calls)
+
+        assert in_fresh_thread(repeat_sums) == 1
+
+    def test_repeat_allocates_under_one_frame(self):
+        frames = shifted_stream(79, (256, 256))
+        cfg = CacheConfig(patch_size=16)
+
+        def repeat_peak():
+            decide(frames[0], frames[1], cfg, step=1)
+            repeated = frames[1].copy()
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                d = decide(frames[1], repeated, cfg, step=2)
+                return d, tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+
+        d, peak = in_fresh_thread(repeat_peak)
+        assert d == in_fresh_thread(decide, frames[1], frames[1], cfg, step=2)
+        assert peak < frames[0].nbytes
+
+
 class TestScratchRegion:
     def test_carried_decide_allocates_under_two_and_a_half_frames(self):
         # With its temporaries on the thread's scratch region, a carried
@@ -824,6 +976,7 @@ class TestStep:
         (0, 4),    # an empty grid
         (4, 0),
         (-4, -4),  # a negative grid
+        (32, 32),  # one-pixel patches
     ])
     def test_decision_grid_that_does_not_tile_the_frame_raises(self, rows,
                                                                cols):

@@ -130,6 +130,28 @@ def test_ab_bench_takes_a_good_result_line(ab_bench):
     assert ab_bench.checked_result(line, "here") == json.loads(line)
 
 
+@pytest.mark.parametrize("stdout,message", [
+    ("perfbench translate-448-p16 seed=1 seconds=25 trace=1\n",
+     "the last stdout line is not a result: "
+     "'perfbench translate-448-p16 seed=1 seconds=25 trace=1'"),
+    (result_line(**{"fft.ms_per_frame": None}) + "\n",
+     "fft.ms_per_frame is null, not a finite number"),
+])
+def test_ab_bench_refuses_a_solo_run_that_exits_0_without_a_result(
+        ab_bench, monkeypatch, capsys, stdout, message):
+    def finished(argv, **kwargs):
+        assert argv[1:] == ["perfbench/run.py", "--workload",
+                            "translate-448-p16", "--seed", "1", "--trace", "1"]
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", finished)
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.run_perfbench(Path("T"), "translate-448-p16", 1, 1)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ab_bench: perfbench translate-448-p16 in T seed 1 trace 1: {message}\n")
+
+
 def test_near_constant_scene_holds_what_it_names(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import numpy as np

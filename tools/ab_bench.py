@@ -4,8 +4,10 @@
     python3 tools/ab_bench.py --parent REV --change REV --pr N --work DIR
 
 Exports each revision with ``git archive`` into its own directory under
-``DIR``, then runs ``perfbench/run.py --workload all --seed S`` there, one
-run at a time, for ``PAIRS`` pairs on seeds 1 to 10: the parent goes
+``DIR``. In each tree it first runs every workload of ``BENCHMARK.json``
+alone with ``--seed 1 --trace 1``, the form of a single traced run of the
+benchmark. Then it runs ``perfbench/run.py --workload all --seed S`` there,
+one run at a time, for ``PAIRS`` pairs on seeds 1 to 10: the parent goes
 first on odd seeds and the change first on even ones. One more pair, the
 parent first, runs on the held-out seed 1000. Then ``TRACED_PAIRS`` pairs
 run with ``--trace 1`` on seeds 1 to 3, alternating the same way. Writes
@@ -18,9 +20,11 @@ beats the parent's by more than the parent's IQR; ``within_bound``: its
 median is worse than the parent's by no more than the metric's bound, a
 share of the parent's median), and under ``per_layer``,
 per workload and per-layer metric, the medians of the traced runs and
-the pairs each side won. A result line, traced or not, that is not strict
-JSON or holds a metric that is not a finite number stops the tool with
-status 2, naming the workload and metric where it can.
+the pairs each side won, and under ``solo_traced`` each workload's solo
+traced result line per side. A result line, solo or paired, traced or not,
+that is not strict JSON or holds a metric that is not a finite number
+stops the tool with status 2, naming the workload and metric where it
+can.
 
 Each side is recorded by its commit and tree hashes. Work that is not
 committed can be measured as the revision that ``git stash create`` prints
@@ -54,22 +58,31 @@ GAIN_SHARE = 0.9
 # Traced pairs, on seeds 1 to TRACED_PAIRS, for the per-layer metrics.
 TRACED_PAIRS = 3
 COMMAND = "python3 perfbench/run.py --workload all --seed N"
+# Each workload alone, traced, as a single run of the benchmark is made.
+SOLO_SEED = 1
+SOLO_COMMAND = f"python3 perfbench/run.py --workload W --seed {SOLO_SEED} --trace 1"
+
+
+def run_perfbench(tree, workload, seed, trace):
+    """The checked result line of one ``perfbench/run.py`` run in
+    ``tree``."""
+    where = f"perfbench {workload} in {tree} seed {seed} trace {trace}"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace)],
+        cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"ab_bench: {where} exited with {proc.returncode}:"
+                         f"\n{proc.stderr}")
+    return checked_result(lines[-1], where)
 
 
 def perfbench(tree, seed, trace=0):
     """The result line of one ``--workload all --trace TRACE`` run in
     ``tree`` and the decisions SHA-256 and machine facts it saved for each
     workload."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seed", str(seed), "--trace", str(trace)],
-        cwd=tree, stdin=subprocess.DEVNULL, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"ab_bench: perfbench in {tree} seed {seed} exited "
-                         f"with {proc.returncode}:\n{proc.stderr}")
-    result = checked_result(lines[-1],
-                            f"perfbench in {tree} seed {seed} trace {trace}")
+    result = run_perfbench(tree, "all", seed, trace)
     names = sorted({key.split("/")[0] for key in result["metrics"]})
     saved = {name: json.loads((tree / ".perfbench_out" / "results" /
                                f"{name}-seed{seed}.json").read_text())
@@ -96,9 +109,8 @@ def checked_result(line, where):
     for key, value in values.items():
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not math.isfinite(value)):
-            workload, _, metric = key.partition("/")
-            fail(TOOL, f"{where}: {workload} {metric} is {json.dumps(value)}, "
-                       "not a finite number")
+            fail(TOOL, f"{where}: {key.replace('/', ' ')} is "
+                       f"{json.dumps(value)}, not a finite number")
     if constants:
         fail(TOOL, f"{where}: the result line holds {constants[0]}, which is "
                    "not strict JSON")
@@ -201,6 +213,10 @@ def main(argv=None):
     for side in SIDES:
         export(top, commits[side], trees[side])
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    solo = {side: {w["name"]: run_perfbench(trees[side], w["name"], SOLO_SEED, 1)
+                   for w in declared["workloads"]}
+            for side in SIDES}
+    print("ab_bench: solo traced runs done", file=sys.stderr, flush=True)
 
     def pair(seed, parent_first, trace=0):
         out = {}
@@ -260,6 +276,13 @@ def main(argv=None):
         **{side: [{"seed": r["seed"], "result": r["result"]}
                   for r in traced[side]] for side in SIDES},
         "summary": summarise_layers(traced, declared["per_layer"]),
+    }
+    bench["solo_traced"] = {
+        "command": SOLO_COMMAND,
+        "method": "each workload of BENCHMARK.json alone, traced, on both "
+                  "sides before the pairs; every last stdout line passed the "
+                  "strict result check",
+        **solo,
     }
     out = top / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
