@@ -225,22 +225,26 @@ _last = _LastFrame()
 
 
 def _carried(frame):
-    """This thread's last analysis if ``frame`` holds exactly its bits."""
+    """This thread's last analysis if the :func:`frame_array` result
+    ``frame`` holds exactly its bits."""
     bits = _last.bits
-    if (bits is not None and isinstance(frame, np.ndarray)
-            and frame.dtype == bits.dtype and frame.shape == bits.shape
+    if (bits is not None and frame.shape == bits.shape
             and (bits.view(np.uint64) == frame.view(np.uint64)).all()):
         return _last.analysis
     return None
 
 
-def _repeats(frame):
+def _repeats(frame, patch_size):
     """Whether a float64 ``frame`` of the carried shape holds exactly the
-    carried bits. One element is compared first, so a frame that differs
+    carried bits. The middle element, then the top-left element of each
+    ``patch_size`` patch, are compared first, so a frame that differs
     there skips the whole compare."""
     held, bits = frame.view(np.uint64), _last.bits.view(np.uint64)
     middle = (frame.shape[0] // 2, frame.shape[1] // 2)
-    return bool(held[middle] == bits[middle] and (held == bits).all())
+    lattice = np.s_[::patch_size, ::patch_size]
+    return bool(held[middle] == bits[middle]
+                and (held[lattice] == bits[lattice]).all()
+                and (held == bits).all())
 
 
 def decide(prev, curr, cfg, *, step=0):
@@ -252,26 +256,30 @@ def decide(prev, curr, cfg, *, step=0):
     finiteness, constancy and scale, and brought near unit scale by a power
     of two when it lies far from it (see :func:`_analyse`), so no stage
     overflows or underflows at any scale. Each frame is analysed once per
-    stream: ``curr``'s analysis is kept, with a copy of its bits, for this
-    thread's next call, and a ``prev`` holding exactly those bits reuses it
-    without being scanned or analysed again (a frame buffer rewritten in
-    place misses). When such a ``prev`` is followed by a ``curr`` holding
-    the same bits, the step repeats the carried frame: ``curr`` is not
-    analysed either, and its entropy reading and, at the same patch size,
-    its patch energies are read from the carry; its patch grid is built
-    from the caller's ``curr`` at the carried scale. Degenerate inputs (a
-    frame whose spectrum has no power, or a constant frame) force a flush
-    with a diagnostic instead of raising, so a black frame cannot abort a
-    sequence; the analyses they make undefined keep their defaults.
+    stream: ``curr``'s analysis is kept, with a copy of its float64 bits,
+    for this thread's next call, and a ``prev`` whose :func:`frame_array`
+    coercion holds exactly those bits reuses it without being scanned or
+    analysed again, whatever its dtype (a frame buffer rewritten in place
+    misses). When such a ``prev`` is followed by a ``curr`` holding the
+    same bits, the step repeats the carried frame: ``curr`` is not
+    analysed either, its entropy reading and, at the same patch size, its
+    patch energies are read from the carry, and its displacement is
+    (0, 0) without phase correlation, the peak equal spectra correlate to
+    (ties go to the smallest shift); its patch grid is built from the
+    caller's ``curr`` at the carried scale, and the gate, alignment,
+    budget, refresh mask and selection run as on any step. Degenerate
+    inputs (a frame whose spectrum has no power, or a constant frame)
+    force a flush with a diagnostic instead of raising, so a black frame
+    cannot abort a sequence; the analyses they make undefined keep their
+    defaults.
     """
     t0 = time.perf_counter_ns()
+    prev = frame_array(prev)
     a_prev = _carried(prev)
-    if a_prev is None:
-        prev = frame_array(prev)
     bits = frame_array(curr)  # the caller's values, which the carry keeps
     if prev.shape != bits.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {bits.shape}")
-    repeat = a_prev is not None and _repeats(bits)
+    repeat = a_prev is not None and _repeats(bits, cfg.patch_size)
     timings = {"intake": (time.perf_counter_ns() - t0) // 1000}
 
     t0 = time.perf_counter_ns()
@@ -313,8 +321,9 @@ def decide(prev, curr, cfg, *, step=0):
         # Release prev's amplitude before the correlation allocates its
         # inverse, which can then reuse those bytes instead of fresh pages.
         spectrum_prev, a_prev = a_prev.spectrum, None
-        disp = phase_correlation_spectra(spectrum_prev, a_curr.spectrum,
-                                         curr.shape, cfg.patch_size)
+        if not repeat:  # equal spectra correlate highest at (0, 0)
+            disp = phase_correlation_spectra(spectrum_prev, a_curr.spectrum,
+                                             curr.shape, cfg.patch_size)
         align = alignment_mask(disp, grid)
         timings["migration"] = (time.perf_counter_ns() - t0) // 1000
 
@@ -491,10 +500,11 @@ def stream(frames, cfg):
     ``frames`` may be any iterable. It is walked once, and only the two
     frames of the current step are held, so a lazy sequence such as
     :func:`frameio.load_frames` returns is never in memory whole. Each
-    new frame is transformed once; from the second step on, a frame that
-    repeats the one before it bit for bit is not transformed at all, and
-    its step reads the analysis, entropy and patch energies
-    :func:`decide` carried from the step before.
+    new frame is transformed once, whether it arrives as float64, float32,
+    uint8 or nested lists; from the second step on, a frame that repeats
+    the one before it bit for bit is not transformed or phase-correlated
+    at all, and its step reads the analysis, entropy and patch energies
+    :func:`decide` carried from the step before, with displacement (0, 0).
     """
     frames = iter(frames)
     prev = next(frames, None)

@@ -557,8 +557,9 @@ def cold_each(calls):
             for t, call in enumerate(calls, 1)]
 
 
-# The element a repeat check compares first, and one it does not.
-CENTRE, CORNER = (16, 16), (3, 5)
+# The element a repeat check compares first, one of the per-patch lattice
+# it compares next at patch size 8, and one only the whole compare reads.
+CENTRE, LATTICE, CORNER = (16, 16), (8, 24), (3, 5)
 
 
 class TestRepeatedFrame:
@@ -578,6 +579,68 @@ class TestRepeatedFrame:
         assert len(calls) == len(frames) - repeats
         assert got == cold
         assert sum(not d.flushed for d in got) >= repeats
+
+    def test_repeat_is_not_phase_correlated(self, monkeypatch):
+        a, b = shifted_stream(81, (32, 32), n=2)
+        c, black = textured(82) ** 2, np.zeros((32, 32))
+        frames = [a, b, b.copy(), c, c.copy(), c.copy(), black, black.copy(),
+                  a, a.copy()]
+        cold = cold_each([(frames[t - 1], frames[t], CFG32)
+                          for t in range(1, len(frames))])
+        calls = []
+        real = fusion.phase_correlation_spectra
+        monkeypatch.setattr(fusion, "phase_correlation_spectra",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        got = in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
+        assert got == cold
+        repeats = [np.array_equal(frames[t - 1], frames[t])
+                   for t in range(1, len(frames))]
+        assert sum(repeats) == 5
+        correlated = [not r and not d.flushed for r, d in zip(repeats, got)]
+        assert len(calls) == sum(correlated) == 2
+        assert all(d.displacement == Displacement(0, 0, 0, 0)
+                   for r, d in zip(repeats, got) if r)
+
+    @pytest.mark.parametrize("size", [32, 64])
+    @pytest.mark.parametrize("period", [2, 4, 8, 16, 32])
+    def test_periodic_repeat_matches_cold_and_reference(self, size, period):
+        # A periodic frame's correlation with itself ties across the period
+        # lattice, and the tie goes to (0, 0), the shift a repeat takes.
+        rng = np.random.default_rng(size + period)
+        for unit in (rng.random((period, period)), rng.random((period, 1)),
+                     rng.random((1, period))):
+            frame = np.tile(unit, (size // unit.shape[0],
+                                   size // unit.shape[1]))
+            calls = [(textured(83, frame.shape), frame, CFG32),
+                     (frame, frame.copy(), CFG32)]
+            got = in_fresh_thread(decide_each, calls)[1]
+            assert got == in_fresh_thread(decide, frame, frame.copy(), CFG32,
+                                          step=2)
+            ref = decide_reference(frame, frame.copy(), CFG32, step=2)
+            assert got.displacement == ref.displacement == Displacement(
+                0, 0, 0, 0)
+            # A period that divides the patch size makes every patch alike,
+            # and which of those equal energies pass the refresh threshold
+            # hangs on how each path rounds their mean.
+            if period > CFG32.patch_size:
+                assert_decision_equivalence(got, ref)
+
+    @pytest.mark.parametrize("convert", [
+        lambda f: f.astype(np.float32),
+        lambda f: np.floor(f * 255).astype(np.uint8),
+        np.ndarray.tolist,
+    ], ids=["float32", "uint8", "list"])
+    def test_frames_of_any_dtype_hit_the_carry(self, convert, monkeypatch):
+        a, b, c = shifted_stream(84, (32, 32))
+        frames = [convert(f) for f in (a, b, b, c)]
+        as_float64 = [np.asarray(f, dtype=np.float64) for f in frames]
+        cold = cold_each([(frames[t - 1], frames[t], CFG32)
+                          for t in range(1, len(frames))])
+        want = in_fresh_thread(lambda: list(fusion.stream(as_float64, CFG32)))
+        transforms = count_rfft2(monkeypatch)
+        got = in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
+        assert len(transforms) == 3
+        assert got == want == cold
 
     @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** -20, 2.0 ** 40])
     def test_repeat_outside_the_window_is_scaled_from_the_callers_frame(
@@ -616,9 +679,11 @@ class TestRepeatedFrame:
             assert in_fresh_thread(rewritten, patch_size) == in_fresh_thread(
                 decide, a, a, CacheConfig(patch_size=patch_size))
 
-    @pytest.mark.parametrize("at", [CENTRE, CORNER])
+    @pytest.mark.parametrize("at", [CENTRE, LATTICE, CORNER])
     def test_signed_zero_is_not_a_repeat(self, at, monkeypatch):
-        frame = with_pixel(with_pixel(textured(75), 0.0, CENTRE), 0.0, CORNER)
+        frame = textured(75)
+        for where in (CENTRE, LATTICE, CORNER):
+            frame = with_pixel(frame, 0.0, where)
         calls = [(textured(76), frame, CFG32),
                  (frame, with_pixel(frame, -0.0, at), CFG32)]
         cold = cold_each(calls)
@@ -626,7 +691,7 @@ class TestRepeatedFrame:
         assert in_fresh_thread(decide_each, calls) == cold
         assert len(transforms) == 3
 
-    @pytest.mark.parametrize("at", [CENTRE, CORNER])
+    @pytest.mark.parametrize("at", [CENTRE, LATTICE, CORNER])
     def test_nan_is_not_a_repeat(self, at):
         frame = textured(77)
         payload = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)

@@ -250,3 +250,40 @@ def test_ab_bench_states_the_verdicts(ab_bench, metric, better, bound,
     assert stats["pairs"] == 10
     assert stats["gain_rule_met"] is gain
     assert stats["within_bound"] is within
+
+
+def test_ab_bench_interleaves_the_traced_pairs(ab_bench, monkeypatch):
+    order = []
+
+    def solo(tree, workload, seed, trace):
+        order.append((str(tree), workload, seed, trace))
+        return {"solo": workload}
+
+    def paired(tree, seed, trace=0):
+        order.append((str(tree), seed, trace))
+        return {"seed": seed}, {"w": f"{tree}{seed}"}, {}
+
+    monkeypatch.setattr(ab_bench, "run_perfbench", solo)
+    monkeypatch.setattr(ab_bench, "perfbench", paired)
+    trees = {"parent": "P", "change": "C"}
+    solo_lines, runs, traced, held = ab_bench.measure(
+        trees, [{"name": "w1"}, {"name": "w2"}])
+
+    def pair(seed, parent_first, trace=0):
+        sides = ("P", "C") if parent_first else ("C", "P")
+        return [(side, seed, trace) for side in sides]
+
+    assert order == [
+        ("P", "w1", 1, 1), ("P", "w2", 1, 1),
+        ("C", "w1", 1, 1), ("C", "w2", 1, 1),
+        *pair(1, True), *pair(2, False), *pair(3, True), *pair(1, True, 1),
+        *pair(4, False), *pair(5, True), *pair(6, False), *pair(2, False, 1),
+        *pair(7, True), *pair(8, False), *pair(9, True), *pair(3, True, 1),
+        *pair(10, False), *pair(1000, True)]
+    assert solo_lines == {side: {"w1": {"solo": "w1"}, "w2": {"solo": "w2"}}
+                          for side in ("parent", "change")}
+    for side, tree in trees.items():
+        assert [r["seed"] for r in runs[side]] == list(range(1, 11))
+        assert [r["result"]["seed"] for r in traced[side]] == [1, 2, 3]
+        assert traced[side][0]["sha256"] == {"w": f"{tree}1"}
+        assert held[side]["seed"] == 1000

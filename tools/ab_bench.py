@@ -8,9 +8,12 @@ Exports each revision with ``git archive`` into its own directory under
 alone with ``--seed 1 --trace 1``, the form of a single traced run of the
 benchmark. Then it runs ``perfbench/run.py --workload all --seed S`` there,
 one run at a time, for ``PAIRS`` pairs on seeds 1 to 10: the parent goes
-first on odd seeds and the change first on even ones. One more pair, the
-parent first, runs on the held-out seed 1000. Then ``TRACED_PAIRS`` pairs
-run with ``--trace 1`` on seeds 1 to 3, alternating the same way. Writes
+first on odd seeds and the change first on even ones. ``TRACED_PAIRS``
+pairs run with ``--trace 1`` on seeds 1 to 3, alternating the same way,
+each between the untraced ones: traced pair k right after untraced pair
+3k, so machine drift over the run reaches both the untraced and the
+traced pairs rather than reading as a layer change. One more pair, the
+parent first, runs on the held-out seed 1000 at the end. Writes
 ``BENCH_<N>.json`` at the top of the repository with every result line,
 the decisions SHA-256 of each workload and run, the machine facts, per
 workload and end-to-end metric of ``BENCHMARK.json`` the medians, the
@@ -55,7 +58,8 @@ PAIRS = 10
 HELD_OUT_SEED = 1000
 # The least share of the pairs run that a change must win to claim a gain.
 GAIN_SHARE = 0.9
-# Traced pairs, on seeds 1 to TRACED_PAIRS, for the per-layer metrics.
+# Traced pairs, on seeds 1 to TRACED_PAIRS, for the per-layer metrics;
+# traced pair k runs right after untraced pair k * PAIRS // TRACED_PAIRS.
 TRACED_PAIRS = 3
 COMMAND = "python3 perfbench/run.py --workload all --seed N"
 # Each workload alone, traced, as a single run of the benchmark is made.
@@ -115,6 +119,46 @@ def checked_result(line, where):
         fail(TOOL, f"{where}: the result line holds {constants[0]}, which is "
                    "not strict JSON")
     return result
+
+
+def schedule():
+    """Every pair of one A/B in the order it runs, as ``(seed,
+    parent_first, trace)``: the untraced pairs on seeds 1 to ``PAIRS``
+    with a traced pair after every ``PAIRS // TRACED_PAIRS``-th, then the
+    held-out pair."""
+    order = []
+    for seed in range(1, PAIRS + 1):
+        order.append((seed, seed % 2 == 1, 0))
+        k, rest = divmod(seed, PAIRS // TRACED_PAIRS)
+        if not rest and k <= TRACED_PAIRS:
+            order.append((k, k % 2 == 1, 1))
+    return order + [(HELD_OUT_SEED, True, 0)]
+
+
+def measure(trees, workloads):
+    """Run one A/B on the exported ``trees``: each of ``workloads`` alone,
+    traced, on both sides, then the pairs of :func:`schedule`. Returns
+    the solo result lines per side and workload, then the untraced
+    seed 1 to ``PAIRS`` runs, the traced runs (each per side, in seed
+    order) and the held-out pair."""
+    solo = {side: {w["name"]: run_perfbench(trees[side], w["name"], SOLO_SEED, 1)
+                   for w in workloads}
+            for side in SIDES}
+    print("ab_bench: solo traced runs done", file=sys.stderr, flush=True)
+    runs, traced = ({side: [] for side in SIDES} for _ in range(2))
+    held = {}
+    for seed, parent_first, trace in schedule():
+        for side in (SIDES if parent_first else SIDES[::-1]):
+            result, sha256, machine = perfbench(trees[side], seed, trace)
+            done = {"seed": seed, "result": result, "sha256": sha256,
+                    "machine": machine}
+            if seed == HELD_OUT_SEED:
+                held[side] = done
+            else:
+                (traced if trace else runs)[side].append(done)
+            print(f"ab_bench: seed {seed} trace {trace} {side} done",
+                  file=sys.stderr, flush=True)
+    return solo, runs, traced, held
 
 
 def quartiles(values):
@@ -213,32 +257,7 @@ def main(argv=None):
     for side in SIDES:
         export(top, commits[side], trees[side])
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    solo = {side: {w["name"]: run_perfbench(trees[side], w["name"], SOLO_SEED, 1)
-                   for w in declared["workloads"]}
-            for side in SIDES}
-    print("ab_bench: solo traced runs done", file=sys.stderr, flush=True)
-
-    def pair(seed, parent_first, trace=0):
-        out = {}
-        for side in (SIDES if parent_first else SIDES[::-1]):
-            result, sha256, machine = perfbench(trees[side], seed, trace)
-            out[side] = {"seed": seed, "result": result, "sha256": sha256,
-                         "machine": machine}
-            print(f"ab_bench: seed {seed} trace {trace} {side} done",
-                  file=sys.stderr, flush=True)
-        return out
-
-    def alternating(pairs, trace=0):
-        runs = {side: [] for side in SIDES}
-        for seed in range(1, pairs + 1):
-            done = pair(seed, seed % 2 == 1, trace)
-            for side in SIDES:
-                runs[side].append(done[side])
-        return runs
-
-    runs = alternating(PAIRS)
-    held = pair(HELD_OUT_SEED, parent_first=True)
-    traced = alternating(TRACED_PAIRS, trace=1)
+    solo, runs, traced, held = measure(trees, declared["workloads"])
 
     machine = runs["change"][0]["machine"]
     bench = {
@@ -271,8 +290,10 @@ def main(argv=None):
     }
     bench["per_layer"] = {
         "method": f"{TRACED_PAIRS} alternating pairs with --trace 1, seeds "
-                  f"1-{TRACED_PAIRS}, the parent first on odd seeds, run after "
-                  "the untraced ones. Span times are unscaled wall-clock.",
+                  f"1-{TRACED_PAIRS}, the parent first on odd seeds; traced "
+                  "pair k ran right after untraced pair "
+                  f"{PAIRS // TRACED_PAIRS}k, so drift over the run reaches "
+                  "both. Span times are unscaled wall-clock.",
         **{side: [{"seed": r["seed"], "result": r["result"]}
                   for r in traced[side]] for side in SIDES},
         "summary": summarise_layers(traced, declared["per_layer"]),
