@@ -79,14 +79,16 @@ def refresh_mask(energies, sensitivity):
     """Boolean mask of the patches whose energy exceeds mean + sensitivity *
     std, shaped like ``energies``.
 
-    Statistics are population (divide-by-N) moments over all patches, so an
+    Statistics are population (divide-by-N) moments over all patches. The
+    mean is clamped into [min, max], which its rounding can leave, so an
     all-equal energy map has zero spread and the strict inequality flags
     nothing.
     """
     # ``energies.mean()`` and ``energies.std()`` run these operations in
     # this order, so the moments keep their bits without NumPy's wrappers.
     n = energies.size
-    mu = float(energies.sum()) / n
+    mu = min(max(float(energies.sum()) / n, float(energies.min())),
+             float(energies.max()))
     deviation = energies - mu
     np.square(deviation, out=deviation)
     sigma = math.sqrt(float(deviation.sum()) / n)

@@ -2,6 +2,7 @@
 select the reuse set, and maintain the token cache across steps."""
 
 import math
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -68,6 +69,11 @@ class CacheConfig:
         if not math.isfinite(self.edge_lambda):
             raise ValueError(
                 f"edge_lambda must be finite, got {self.edge_lambda}")
+        try:
+            operator.index(self.patch_size)
+        except TypeError:
+            raise ValueError(f"patch_size must be an integer, got "
+                             f"{self.patch_size!r}") from None
         if self.patch_size < 2:
             raise ValueError(f"patch_size must be >= 2, got {self.patch_size}")
 
@@ -167,19 +173,19 @@ class _Analysis(NamedTuple):
 
 
 def _analyse(frame):
-    """A :func:`frame_array` result brought near unit scale, and its
-    :class:`_Analysis`; ValueError if it holds a non-finite value.
+    """The :class:`_Analysis` of a :func:`frame_array` result; ValueError
+    if it holds a non-finite value.
 
     One ``min`` and one ``max`` tell finiteness, constancy and scale. A
     frame whose largest magnitude has a binary exponent e (as
-    :func:`math.frexp` gives it) outside [-16, 16] is scaled by 2^-e into
-    [0.5, 1), so no stage overflows and no power or energy underflows to
-    zero; the scale commutes with every operation ``decide`` runs, unless
-    it rounds the smallest values to subnormals. A frame inside the window
-    keeps every bit, and only its ``complex64`` spectrum is scaled by 2^-e,
-    after the amplitude and the power are taken, so phase correlation
-    always reads the spectrum at unit scale and its ``CROSS_POWER_EPS``
-    floor is relative to the frames.
+    :func:`math.frexp` gives it) outside [-16, 16] is analysed scaled by
+    2^-e into [0.5, 1), so no stage overflows and no power or energy
+    underflows to zero; the scale commutes with every operation ``decide``
+    runs, unless it rounds the smallest values to subnormals. A frame
+    inside the window keeps every bit, and only its ``complex64`` spectrum
+    is scaled by 2^-e, after the amplitude and the power are taken, so
+    phase correlation always reads the spectrum at unit scale and its
+    ``CROSS_POWER_EPS`` floor is relative to the frames.
     """
     lo, hi = np.min(frame), np.max(frame)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -195,8 +201,7 @@ def _analyse(frame):
         spectrum *= 2.0 ** -exponent
     spectrum.flags.writeable = False
     amplitude.flags.writeable = False
-    return frame, _Analysis(spectrum, amplitude, power, bool(lo == hi),
-                            scale_exponent)
+    return _Analysis(spectrum, amplitude, power, bool(lo == hi), scale_exponent)
 
 
 def _half_spectrum(frame):
@@ -210,41 +215,39 @@ def _half_spectrum(frame):
 
 class _LastFrame(threading.local):
     """The last ``curr`` that ``decide`` analysed on this thread: its bits,
-    in a buffer reused while the frame shape stays, its analysis, and what
-    a step that repeats it reads instead of computing again: its entropy
-    reading (None until taken) and its read-only patch energies with the
-    patch size they were computed at."""
+    in a buffer reused while the frame shape stays, its analysis, and the
+    readings steps have taken of it (see :func:`_reading`)."""
 
     bits = None
     analysis = None
-    entropy = None
-    energies = (None, None)
+    reads = None
 
 
 _last = _LastFrame()
 
 
-def _carried(frame):
-    """This thread's last analysis if the :func:`frame_array` result
-    ``frame`` holds exactly its bits."""
-    bits = _last.bits
-    if (bits is not None and frame.shape == bits.shape
-            and (bits.view(np.uint64) == frame.view(np.uint64)).all()):
-        return _last.analysis
-    return None
-
-
-def _repeats(frame, patch_size):
-    """Whether a float64 ``frame`` of the carried shape holds exactly the
-    carried bits. The middle element, then the top-left element of each
-    ``patch_size`` patch, are compared first, so a frame that differs
-    there skips the whole compare."""
-    held, bits = frame.view(np.uint64), _last.bits.view(np.uint64)
+def _same_bits(frame, bits, patch_size):
+    """Whether the float64 ``frame`` holds exactly ``bits``, a float64 array
+    or None. The middle element, then the top-left element of each
+    ``patch_size`` patch, are compared first, so a frame that differs there
+    skips the whole compare."""
+    if bits is None or frame.shape != bits.shape:
+        return False
+    held, bits = frame.view(np.uint64), bits.view(np.uint64)
     middle = (frame.shape[0] // 2, frame.shape[1] // 2)
     lattice = np.s_[::patch_size, ::patch_size]
     return bool(held[middle] == bits[middle]
                 and (held[lattice] == bits[lattice]).all()
                 and (held == bits).all())
+
+
+def _reading(key, compute):
+    """The carried frame's reading under ``key``: ``compute()`` on first
+    use, kept until the carry takes a new frame."""
+    reads = _last.reads
+    if key not in reads:
+        reads[key] = compute()
+    return reads[key]
 
 
 def decide(prev, curr, cfg, *, step=0):
@@ -253,54 +256,51 @@ def decide(prev, curr, cfg, *, step=0):
     The migration, budget, and edge analyses are independent and join at a
     single synchronization point before token selection; the spectral ones
     read ``rfft2`` half spectra. Each new frame is scanned once for
-    finiteness, constancy and scale, and brought near unit scale by a power
-    of two when it lies far from it (see :func:`_analyse`), so no stage
-    overflows or underflows at any scale. Each frame is analysed once per
-    stream: ``curr``'s analysis is kept, with a copy of its float64 bits,
-    for this thread's next call, and a ``prev`` whose :func:`frame_array`
-    coercion holds exactly those bits reuses it without being scanned or
-    analysed again, whatever its dtype (a frame buffer rewritten in place
-    misses). When such a ``prev`` is followed by a ``curr`` holding the
-    same bits, the step repeats the carried frame: ``curr`` is not
-    analysed either, its entropy reading and, at the same patch size, its
-    patch energies are read from the carry, and its displacement is
-    (0, 0) without phase correlation, the peak equal spectra correlate to
-    (ties go to the smallest shift); its patch grid is built from the
-    caller's ``curr`` at the carried scale, and the gate, alignment,
-    budget, refresh mask and selection run as on any step. Degenerate
-    inputs (a frame whose spectrum has no power, or a constant frame)
-    force a flush with a diagnostic instead of raising, so a black frame
-    cannot abort a sequence; the analyses they make undefined keep their
-    defaults.
+    finiteness, constancy and scale, and analysed near unit scale (see
+    :func:`_analyse`), so no stage overflows or underflows at any scale.
+
+    This thread carries the last ``curr`` it analysed: its float64 bits,
+    its analysis, and the readings taken of it. A ``prev`` whose
+    :func:`frame_array` coercion holds exactly the carried bits, whatever
+    its dtype, takes the carried analysis, and a ``curr`` holding the bits
+    of such a ``prev`` takes it too, with the carried entropy and patch
+    energies and displacement (0, 0), where equal spectra correlate
+    highest (ties go to the smallest shift); any other ``curr`` is
+    analysed and carried. The patch grid is always the caller's ``curr``
+    at the analysed scale, and the gate, alignment, budget, refresh mask
+    and selection run on every step. Degenerate inputs (a frame whose
+    spectrum has no power, or a constant frame) force a flush with a
+    diagnostic instead of raising, so a black frame cannot abort a
+    sequence; the analyses they make undefined keep their defaults.
     """
     t0 = time.perf_counter_ns()
     prev = frame_array(prev)
-    a_prev = _carried(prev)
     bits = frame_array(curr)  # the caller's values, which the carry keeps
     if prev.shape != bits.shape:
         raise ValueError(f"frame shapes differ: {prev.shape} vs {bits.shape}")
-    repeat = a_prev is not None and _repeats(bits, cfg.patch_size)
+    a_prev = a_curr = None
+    if _same_bits(prev, _last.bits, cfg.patch_size):
+        a_prev = _last.analysis
+        if _same_bits(bits, prev, cfg.patch_size):
+            a_curr = a_prev
+    repeat = a_curr is not None
     timings = {"intake": (time.perf_counter_ns() - t0) // 1000}
 
     t0 = time.perf_counter_ns()
-    if repeat:
-        a_curr = a_prev
-        curr = bits
-        if a_curr.scale_exponent:
-            curr = np.ldexp(bits, a_curr.scale_exponent)
-    else:
-        curr, a_curr = _analyse(bits)
+    if not repeat:
+        a_curr = _analyse(bits)
+    curr = bits
+    if a_curr.scale_exponent:
+        curr = np.ldexp(bits, a_curr.scale_exponent)
     grid = PatchGrid._of_valid(curr, cfg.patch_size)
     n = grid.n_patches
     if a_prev is None:
-        a_prev = _analyse(prev)[1]
+        a_prev = _analyse(prev)
     if not repeat:
-        if _last.bits is None or _last.bits.shape != curr.shape:
-            _last.bits = np.empty(curr.shape)
+        if _last.bits is None or _last.bits.shape != bits.shape:
+            _last.bits = np.empty(bits.shape)
         np.copyto(_last.bits, bits)
-        _last.analysis = a_curr
-        _last.entropy = None
-        _last.energies = (None, None)
+        _last.analysis, _last.reads = a_curr, {}
     weights = hermitian_weights(curr.shape[1])
     timings["transform"] = (time.perf_counter_ns() - t0) // 1000
 
@@ -331,19 +331,14 @@ def decide(prev, curr, cfg, *, step=0):
     alpha, k_reuse = 0.0, 0
     if a_curr.power > 0.0:
         t0 = time.perf_counter_ns()
-        entropy = _last.entropy
-        if entropy is None:
-            entropy = _last.entropy = spectral_entropy(
-                a_curr.amplitude, weights, power=a_curr.power)
+        entropy = _reading("entropy", lambda: spectral_entropy(
+            a_curr.amplitude, weights, power=a_curr.power))
         alpha, k_reuse = reuse_budget(entropy.normalized, cfg, n)
         timings["budget"] = (time.perf_counter_ns() - t0) // 1000
 
     t0 = time.perf_counter_ns()
-    size, energies = _last.energies
-    if size != grid.patch_size:
-        energies = patch_energy(grid)
-        energies.flags.writeable = False
-        _last.energies = (grid.patch_size, energies)
+    energies = _reading(grid.patch_size, lambda: patch_energy(grid))
+    energies.flags.writeable = False
     fresh = refresh_mask(energies, cfg.edge_lambda)
     timings["edge"] = (time.perf_counter_ns() - t0) // 1000
 
@@ -438,8 +433,8 @@ def step(cache, decision, curr, token_fn):
     previous cache and their age incremented; everything else is recomputed
     with ``token_fn`` at age 0. Passing ``cache=None`` (cold start) or a
     flushed decision recomputes every slot. A cache of another grid raises
-    ValueError; a reuse index outside the grid, or a reused slot whose
-    source lies outside it, raises :class:`InvariantError`.
+    ValueError; a reuse index outside the grid or listed twice, or a reused
+    slot whose source lies outside it, raises :class:`InvariantError`.
     """
     curr = validate_frame(curr)
     rows, cols = decision.rows, decision.cols
@@ -477,6 +472,9 @@ def step(cache, decision, curr, token_fn):
     keep = np.ones(n, dtype=bool)
     keep[reuse] = False
     recompute = np.flatnonzero(keep)
+    if recompute.size != n - reuse.size:
+        k = reuse[np.argmax(np.bincount(reuse, minlength=n)[reuse] > 1)]
+        raise InvariantError(f"reuse index {k} listed more than once")
     if recompute.size:
         fresh = grid.tokens(token_fn, recompute)
         tokens = np.empty((n, fresh.shape[1]))
@@ -500,11 +498,11 @@ def stream(frames, cfg):
     ``frames`` may be any iterable. It is walked once, and only the two
     frames of the current step are held, so a lazy sequence such as
     :func:`frameio.load_frames` returns is never in memory whole. Each
-    new frame is transformed once, whether it arrives as float64, float32,
-    uint8 or nested lists; from the second step on, a frame that repeats
-    the one before it bit for bit is not transformed or phase-correlated
-    at all, and its step reads the analysis, entropy and patch energies
-    :func:`decide` carried from the step before, with displacement (0, 0).
+    frame is analysed once, whatever its dtype (float64, float32, uint8 or
+    nested lists): :func:`decide` carries each ``curr`` to the next step,
+    where it is ``prev``, and from the second step on a frame that repeats
+    the one before it bit for bit takes that frame's carried analysis and
+    readings.
     """
     frames = iter(frames)
     prev = next(frames, None)

@@ -405,7 +405,7 @@ def decide_reference(prev, curr, cfg, *, step=0):
         for j in range(grid.cols):
             coeffs = hp * _dct2_direct(grid.blocks()[i, j])
             energies[i, j] = float(np.sum(coeffs * coeffs))
-    mu = float(energies.sum()) / n
+    mu = min(max(float(energies.sum()) / n, energies.min()), energies.max())
     sigma = math.sqrt(float(((energies - mu) ** 2).sum()) / n)
     fresh = energies > mu + cfg.edge_lambda * sigma
     refresh_set = tuple(int(q) for q in np.flatnonzero(fresh.ravel()))

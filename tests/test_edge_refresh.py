@@ -199,6 +199,11 @@ class TestPatchEnergy:
 class TestRefreshMask:
     def test_all_equal_energies_empty_mask(self):
         assert not refresh_mask(np.full((3, 3), 4.2), 0.25).any()
+        # The pairwise sum of these 64 rounds their mean one ulp below them.
+        energies = np.full((8, 8), 3.6410537891283936)
+        assert float(energies.sum()) / energies.size < energies.min()
+        for lam in (-1.0, 0.0, 0.25):
+            assert not refresh_mask(energies, lam).any()
 
     def test_single_outlier_flagged(self):
         energies = np.array([[0.0, 0.0], [0.0, 100.0]])

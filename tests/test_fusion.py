@@ -93,6 +93,21 @@ class TestCostModel:
 
 
 class TestDecide:
+    @pytest.mark.parametrize("size", [8.5, 8.0, "8", None])
+    def test_patch_size_that_is_not_an_integer_is_rejected(self, size):
+        # 8.5 once tiled a frame as 8, then a repeat step raised TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"patch_size must be an integer, got {size!r}")):
+            CacheConfig(patch_size=size)
+
+    def test_numpy_integer_patch_size_decides_as_int(self):
+        a, b = shifted_stream(35, (32, 32), n=2)
+        frames = [a, b, b.copy()]
+        want = in_fresh_thread(lambda: list(fusion.stream(frames, CFG32)))
+        got = in_fresh_thread(lambda: list(fusion.stream(
+            frames, CacheConfig(patch_size=np.int64(8)))))
+        assert got == want
+
     def test_identical_textured_frames(self):
         frame = textured(0)
         d = decide(frame, frame, CFG32)
@@ -498,8 +513,8 @@ class TestChecksFromSpectrum:
         frames += [rng.random(shape) * 10.0 ** k for k in (-300, -3, 0, 3, 300)]
         for i, frame in enumerate(frames):
             constant = bool(np.ptp(frame) == 0.0)
-            assert fusion._analyse(frame)[1].constant == constant, i
-            assert fusion._analyse(frame.T.copy())[1].constant == constant, i
+            assert fusion._analyse(frame).constant == constant, i
+            assert fusion._analyse(frame.T.copy()).constant == constant, i
 
     def test_textured_frames_skip_the_constancy_scan(self, monkeypatch):
         frames = shifted_stream(63, (32, 32), n=3)
@@ -619,11 +634,21 @@ class TestRepeatedFrame:
             ref = decide_reference(frame, frame.copy(), CFG32, step=2)
             assert got.displacement == ref.displacement == Displacement(
                 0, 0, 0, 0)
-            # A period that divides the patch size makes every patch alike,
-            # and which of those equal energies pass the refresh threshold
-            # hangs on how each path rounds their mean.
-            if period > CFG32.patch_size:
-                assert_decision_equivalence(got, ref)
+            assert_decision_equivalence(got, ref)
+
+    def test_equal_patches_whose_energy_mean_rounds_out_match_reference(self):
+        # Every P8 patch of this tile holds the same 2x2 blocks, so all 64
+        # energies are equal, and their rounded mean falls one ulp below
+        # them: unclamped, every patch passed the refresh threshold.
+        frame = np.tile(np.random.default_rng(6404).random((4, 4)), (16, 16))
+        calls = [(textured(83, frame.shape), frame, CFG32),
+                 (frame, frame.copy(), CFG32)]
+        repeat = in_fresh_thread(decide_each, calls)[1]
+        cold = in_fresh_thread(decide, frame, frame.copy(), CFG32, step=2)
+        ref = decide_reference(frame, frame.copy(), CFG32, step=2)
+        assert repeat == cold
+        assert_decision_equivalence(cold, ref)
+        assert cold.refresh_set == () and cold.k_final > 0
 
     @pytest.mark.parametrize("convert", [
         lambda f: f.astype(np.float32),
@@ -1014,6 +1039,19 @@ class TestStep:
             reuse_set=(index,), recompute_set=tuple(range(15)), k_final=1)
         with pytest.raises(InvariantError, match=re.escape(
                 f"reuse index {index} out of range for 16 patches")):
+            step(cache, planted, curr, default_token_fn)
+
+    def test_reuse_index_listed_twice_raises(self):
+        # a 25-entry reuse set with one repeat once reported 24 reused
+        prev = textured(34, (64, 64))
+        curr = np.roll(prev, (8, 16), axis=(0, 1))
+        d = decide(prev, curr, CFG32)
+        assert d.k_final >= 2
+        cache = populate_cache(prev, 8, default_token_fn)
+        planted = dataclasses.replace(
+            d, reuse_set=d.reuse_set + d.reuse_set[1:2])
+        with pytest.raises(InvariantError, match=re.escape(
+                f"reuse index {d.reuse_set[1]} listed more than once")):
             step(cache, planted, curr, default_token_fn)
 
     @pytest.mark.parametrize("size,ages", [(96, None), (32, None),

@@ -174,7 +174,7 @@ def test_near_constant_scene_holds_what_it_names(monkeypatch, tmp_path):
     # every frame's constant flag, read from its min and max, is the exact one
     for t in range(len(frames)):
         constant = np.ptp(frames[t]) == 0.0
-        assert fusion._analyse(frames[t])[1].constant == constant
+        assert fusion._analyse(frames[t]).constant == constant
 
 
 def test_same_outputs_rejected_runs_print_one_line(monkeypatch, tmp_path,
